@@ -32,7 +32,7 @@ func runChaostest(ctx context.Context, args []string, stdout, stderr io.Writer) 
 	fs := flag.NewFlagSet("goalsweep chaostest", flag.ContinueOnError)
 	var (
 		specPath   = fs.String("spec", "", "JSON scenario spec file")
-		builtin    = fs.String("builtin", "quick", "built-in spec name (default, quick); ignored when -spec is set")
+		builtin    = fs.String("builtin", "quick", builtinUsage)
 		shards     = fs.Int("shards", 6, "work units to partition the sweep into")
 		workers    = fs.Int("workers", 2, "concurrent workers in the in-process fleet")
 		sample     = fs.Int("sample", 0, "sweep only a deterministic random subset of this many scenarios (0 = all)")

@@ -73,7 +73,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 	fs := flag.NewFlagSet("goalsweep serve", flag.ContinueOnError)
 	var (
 		specPath     = fs.String("spec", "", "JSON scenario spec file")
-		builtin      = fs.String("builtin", "", "built-in spec name (default, quick); ignored when -spec is set")
+		builtin      = fs.String("builtin", "", builtinUsage)
 		shardsFlag   = fs.String("shards", "2", "how many work units to partition the selection into (a count; \"auto\" is only meaningful per job, via goalsweep submit)")
 		service      = fs.Bool("service", false, "run a long-lived multi-tenant job queue instead of a one-shot batch sweep; jobs arrive via goalsweep submit, so spec and report flags are refused")
 		stateDir     = fs.String("state", "", "persist job plans and shard envelopes under this directory and resume incomplete jobs on restart")
@@ -211,11 +211,12 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 	go srv.Serve(ln)
 	defer srv.Close()
 
-	start := time.Now()
 	if err := coord.Wait(ctx); err != nil {
 		return err
 	}
-	elapsed := time.Since(start)
+	// Clock the sweep from its first lease grant to its last accepted
+	// submit, so idle time before the fleet connects is not counted.
+	elapsed := coord.Elapsed()
 	// Let live workers hear StatusDone before the listener goes away;
 	// crashed workers never drain, so this is deadline-bounded.
 	drainCtx, cancel := context.WithTimeout(context.Background(), *linger)

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/scenario"
 )
 
 // syncBuffer is a concurrency-safe stderr sink for the serve goroutine.
@@ -173,6 +175,24 @@ func TestServeWorkFlagValidation(t *testing.T) {
 	if err := run([]string{"work"}, &b, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "-coordinator") {
 		t.Fatalf("work without -coordinator accepted: %v", err)
+	}
+}
+
+// TestBuiltinHelpListsEverySpec: every subcommand that takes -builtin
+// names every built-in spec in its help text.
+func TestBuiltinHelpListsEverySpec(t *testing.T) {
+	t.Parallel()
+
+	for _, cmd := range [][]string{{"-h"}, {"serve", "-h"}, {"submit", "-h"}, {"chaostest", "-h"}} {
+		var b strings.Builder
+		run(cmd, &b, io.Discard)
+		_, help, _ := strings.Cut(b.String(), "-builtin string\n")
+		help, _, _ = strings.Cut(help, "\n")
+		for _, name := range scenario.BuiltinSpecNames() {
+			if !strings.Contains(help, name) {
+				t.Errorf("%v: -builtin help %q does not name %q", cmd, help, name)
+			}
+		}
 	}
 }
 

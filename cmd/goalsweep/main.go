@@ -98,6 +98,10 @@ func (f *filterFlags) Set(v string) error {
 	return nil
 }
 
+// builtinUsage is every subcommand's -builtin help text, built from the
+// spec names themselves so it cannot drift from them.
+var builtinUsage = "built-in spec name (" + strings.Join(scenario.BuiltinSpecNames(), ", ") + "); ignored when -spec is set"
+
 // run is runCtx without cancellation — the signature most tests use.
 func run(args []string, stdout, stderr io.Writer) error {
 	return runCtx(context.Background(), args, stdout, stderr)
@@ -125,7 +129,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 	fs := flag.NewFlagSet("goalsweep", flag.ContinueOnError)
 	var (
 		specPath    = fs.String("spec", "", "JSON scenario spec file")
-		builtin     = fs.String("builtin", "", "built-in spec name (default, quick, adversarial, family); ignored when -spec is set")
+		builtin     = fs.String("builtin", "", builtinUsage)
 		sample      = fs.Int("sample", 0, "sweep only a deterministic random subset of this many scenarios (0 = all)")
 		sampleSeed  = fs.Uint64("sampleseed", 1, "seed for -sample subset selection")
 		parallel    = fs.Int("parallel", 0, "trial worker pool size (0 = GOMAXPROCS); does not affect results")

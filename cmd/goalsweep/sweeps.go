@@ -24,7 +24,7 @@ func runSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	var (
 		coordinator = fs.String("coordinator", "", "coordinator base URL (http://host:port; required)")
 		specPath    = fs.String("spec", "", "JSON scenario spec file")
-		builtin     = fs.String("builtin", "", "built-in spec name (default, quick); ignored when -spec is set")
+		builtin     = fs.String("builtin", "", builtinUsage)
 		shardsFlag  = fs.String("shards", "auto", "work units to partition the job into (a count, or \"auto\" to let the coordinator size it from fleet size and observed shard latency)")
 		sample      = fs.Int("sample", 0, "sweep only a deterministic random subset of this many scenarios (0 = all)")
 		sampleSeed  = fs.Uint64("sampleseed", 1, "seed for -sample subset selection")

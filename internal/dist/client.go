@@ -226,16 +226,18 @@ func (cl *Client) Renew(ctx context.Context, leaseID string) (*RenewResponse, er
 }
 
 // SubmitResult pushes one shard envelope back under its lease (POST
-// /v1/leases/{lease}/result). The executed and mallocs query parameters
-// carry the accounting that is json:"-" in the envelope.
+// /v1/leases/{lease}/result) as compact JSON; the coordinator accepts any
+// whitespace, and on-disk envelopes stay indented (ShardResult.Write).
+// The executed and mallocs query parameters carry the accounting that is
+// json:"-" in the envelope.
 func (cl *Client) SubmitResult(ctx context.Context, leaseID string, sr *scenario.ShardResult, executed, mallocs int64) (*SubmitResponse, error) {
-	var buf bytes.Buffer
-	if err := sr.Write(&buf); err != nil {
+	body, err := json.Marshal(sr)
+	if err != nil {
 		return nil, err
 	}
 	path := fmt.Sprintf("/v1/leases/%s/result?executed=%d&mallocs=%d", leaseID, executed, mallocs)
 	var ack SubmitResponse
-	if err := cl.do(ctx, http.MethodPost, path, bytes.NewReader(buf.Bytes()), &ack); err != nil {
+	if err := cl.do(ctx, http.MethodPost, path, bytes.NewReader(body), &ack); err != nil {
 		return nil, err
 	}
 	return &ack, nil

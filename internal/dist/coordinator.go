@@ -727,6 +727,9 @@ func (c *Coordinator) tryGrantLocked(j *job, req LeaseRequest) *LeaseResponse {
 		st.leaseID = fmt.Sprintf("lease-%d", c.nextID)
 		st.expires = now.Add(c.leaseTTL)
 		c.leases[st.leaseID] = leaseInfo{job: j, shard: i + 1, worker: req.Worker, parallel: req.Parallel, granted: now}
+		if j.firstGrant.IsZero() {
+			j.firstGrant = now
+		}
 		mLeasesGranted.With(j.id).Inc()
 		c.events.Event(obs.LevelInfo, "lease.grant",
 			obs.String("lease", st.leaseID),
@@ -976,8 +979,9 @@ func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult, exe
 		j.mallocs += n
 	}
 	mSubmitsAccepted.With(j.id).Inc()
+	j.lastAccept = c.now()
 	if !li.granted.IsZero() {
-		secs := c.now().Sub(li.granted).Seconds()
+		secs := j.lastAccept.Sub(li.granted).Seconds()
 		mShardSeconds.With(j.id).Observe(secs)
 		c.shardLatSum += secs
 		c.shardLatN++
@@ -1188,6 +1192,24 @@ func (c *Coordinator) ExecutedTrials() (total int64, known bool) {
 		return 0, false
 	}
 	return c.order[0].executed, c.order[0].execKnown
+}
+
+// Elapsed returns the default job's compute span on the coordinator's
+// clock: from its first lease grant to its last accepted submit. Time
+// spent waiting for the first worker to connect is excluded, so the span
+// is what a throughput artifact should divide by. It is 0 until the job
+// has both a grant and an accepted submit.
+func (c *Coordinator) Elapsed() time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.order) == 0 {
+		return 0
+	}
+	j := c.order[0]
+	if j.firstGrant.IsZero() || j.lastAccept.IsZero() {
+		return 0
+	}
+	return j.lastAccept.Sub(j.firstGrant)
 }
 
 // Mallocs returns the default job's total heap-allocation delta (summed

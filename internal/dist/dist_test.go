@@ -282,6 +282,48 @@ func TestStragglerSubmitBeforeReLease(t *testing.T) {
 	}
 }
 
+// TestElapsedExcludesIdleBeforeFirstLease: the sweep's compute span runs
+// on the coordinator's clock from the first lease grant to the last
+// accepted submit, so an hour with no worker connected is not counted
+// (and neither is time after the last accept).
+func TestElapsedExcludesIdleBeforeFirstLease(t *testing.T) {
+	t.Parallel()
+
+	clock := newFakeClock()
+	plan := builtinPlan(t, "quick", 2)
+	coord, err := NewCoordinator(plan, CoordinatorConfig{LeaseTTL: time.Minute, Now: clock.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(time.Hour) // the fleet has not connected yet
+	if got := coord.Elapsed(); got != 0 {
+		t.Fatalf("Elapsed before any lease = %v, want 0", got)
+	}
+	client := LoopbackClient(coord)
+	w := &Worker{Coordinator: "http://coordinator", Client: client, Poll: time.Millisecond}
+	for _, compute := range []time.Duration{3 * time.Second, 2 * time.Second} {
+		lease, err := w.lease(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, err := w.runShard(lease)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(compute)
+		if err := w.submit(context.Background(), lease.LeaseID, sr, 1, time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := coord.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(time.Minute) // draining and merging are not the sweep
+	if got := coord.Elapsed(); got != 5*time.Second {
+		t.Fatalf("Elapsed = %v, want 5s (first grant to last accept)", got)
+	}
+}
+
 // postRenew sends one raw renew request through the loopback client.
 func postRenew(t *testing.T, client *http.Client, leaseID string) (*RenewResponse, *http.Response) {
 	t.Helper()

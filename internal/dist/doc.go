@@ -21,9 +21,10 @@
 //	POST /v1/leases                    pull work fair-share across jobs
 //	POST /v1/leases/{lease}/renew      extend a lease while computing
 //	POST /v1/leases/{lease}/result     push back the shard's ShardResult
-//	                                   envelope; validated (framing,
-//	                                   fingerprint, shard coordinates)
-//	                                   before acceptance
+//	                                   envelope (compact JSON; any
+//	                                   whitespace is accepted); validated
+//	                                   (framing, fingerprint, shard
+//	                                   coordinates) before acceptance
 //	GET  /status                       progress accounting for humans and
 //	                                   scripts (whole queue + flat
 //	                                   default-job mirror)
@@ -49,12 +50,16 @@
 // coordinates), and re-queues only the missing shards — completed work
 // is never re-executed.
 //
-// A Worker pulls a lease (job-agnostic by default, pinnable to one job),
-// recomputes the sweep fingerprint locally from the leased spec and its
-// own registry version (refusing the lease on mismatch, which catches
-// coordinator/worker version skew), runs the ordinary Matrix.Sweep over
-// the shard's index range — sharing a content-addressed result Cache
-// with colocated workers when configured — and submits the envelope.
+// A Worker pulls a lease (job-agnostic by default, pinnable to one job)
+// and verifies its plan: it recomputes the sweep fingerprint locally
+// from the leased spec and its own registry version, refusing the lease
+// on mismatch, which catches coordinator/worker version skew. The check
+// runs once per distinct plan content — the worker keeps the last
+// verified plan with its matrix and selection, and a lease whose plan
+// differs from it in any field (spec included) is verified afresh. The
+// worker then runs the ordinary Matrix.Sweep over the shard's index
+// range — sharing a content-addressed result Cache with colocated
+// workers when configured — and submits the envelope.
 // When every shard has been submitted the job's envelopes reassemble
 // with MergeShards into a report byte-identical to a fresh serial run of
 // the same sweep.

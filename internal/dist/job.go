@@ -52,6 +52,8 @@ type job struct {
 	mallocs      int64                         // worker heap allocations across executed shards
 	mallocsKnown bool                          // every accepted submit carried a mallocs count
 	resumed      int                           // shards restored from on-disk envelopes
+	firstGrant   time.Time                     // first lease grant, on the coordinator's clock
+	lastAccept   time.Time                     // last accepted submit, on the coordinator's clock
 	done         chan struct{}                 // closed when every shard has been accepted
 	subs         []chan []byte                 // live SSE subscribers (see events.go)
 }

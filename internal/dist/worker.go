@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"net/http"
 	"os"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -83,7 +84,19 @@ type Worker struct {
 	// means silent.
 	Events *obs.Logger
 
-	api *Client // lazily built /v1 client
+	api  *Client   // lazily built /v1 client
+	memo *planMemo // last verified plan, reused while leases repeat it
+}
+
+// planMemo is the worker's one-entry cache of verified plan content: the
+// plan whose fingerprint this worker recomputed and accepted, with its
+// matrix and materialised selection. Consecutive leases of one job carry
+// the same plan, so verifying and expanding it once per distinct plan
+// makes a shard's overhead grow with its scenarios, not its spec.
+type planMemo struct {
+	plan      Plan
+	matrix    *scenario.Matrix
+	selection []int64
 }
 
 func (w *Worker) client() *Client {
@@ -349,7 +362,8 @@ func (w *Worker) runShard(lease *LeaseResponse) (*scenario.ShardResult, error) {
 	if plan == nil {
 		return nil, fmt.Errorf("dist: lease %s carries no plan", lease.LeaseID)
 	}
-	if err := plan.Validate(); err != nil {
+	pm, err := w.verifyPlan(plan)
+	if err != nil {
 		return nil, err
 	}
 	if lease.Shard.Count != plan.Shards {
@@ -359,22 +373,7 @@ func (w *Worker) runShard(lease *LeaseResponse) (*scenario.ShardResult, error) {
 	if err := lease.Shard.Validate(); err != nil {
 		return nil, err
 	}
-	reg := w.registry()
-	// Recompute the fingerprint locally: it covers the spec content, this
-	// worker's registry version and the effective parameters, so any skew
-	// (a coordinator from a newer build, a custom registry) is caught
-	// here, before a single trial runs.
-	local := scenario.Fingerprint(plan.Spec, reg.Version(), plan.Seeds, plan.Window, plan.BaseSeed,
-		plan.SampleN, plan.SampleSeed)
-	if local != plan.Fingerprint {
-		return nil, fmt.Errorf("dist: plan fingerprint %s does not match locally computed %s — coordinator/worker version skew",
-			plan.Fingerprint, local)
-	}
-	m, err := scenario.NewMatrix(plan.Spec)
-	if err != nil {
-		return nil, err
-	}
-	indices := lease.Shard.Indices(m, plan.Selection(m))
+	indices := lease.Shard.Indices(pm.matrix, pm.selection)
 	var stats []*scenario.Stats
 	cfg := scenario.SweepConfig{
 		Registry: w.Registry,
@@ -397,7 +396,7 @@ func (w *Worker) runShard(lease *LeaseResponse) (*scenario.ShardResult, error) {
 	runtime.ReadMemStats(&ms)
 	startMallocs := ms.Mallocs
 	start := time.Now()
-	sum, err := m.Sweep(indices, cfg)
+	sum, err := pm.matrix.Sweep(indices, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("dist: shard %s: %w", lease.Shard, err)
 	}
@@ -421,6 +420,37 @@ func (w *Worker) runShard(lease *LeaseResponse) (*scenario.ShardResult, error) {
 		Summary:     sum,
 		Mallocs:     int64(ms.Mallocs - startMallocs),
 	}, nil
+}
+
+// verifyPlan returns the leased plan's matrix and selection. A plan equal
+// by value to the memo's — every field, the full spec included — reuses
+// it: that content was verified already. Any other plan is validated and
+// its fingerprint recomputed under this worker's registry: it covers the
+// spec content, the registry version and the effective parameters, so
+// any skew (a coordinator from a newer build, a custom registry) is
+// caught here, before a single trial runs. Only then is the plan
+// expanded and memoised. Comparing the fingerprint string alone would
+// trust the coordinator's claim, which is exactly what the check exists
+// to avoid.
+func (w *Worker) verifyPlan(plan *Plan) (*planMemo, error) {
+	if w.memo != nil && reflect.DeepEqual(&w.memo.plan, plan) {
+		return w.memo, nil
+	}
+	if err := plan.Validate(); err != nil {
+		return nil, err
+	}
+	local := scenario.Fingerprint(plan.Spec, w.registry().Version(), plan.Seeds, plan.Window, plan.BaseSeed,
+		plan.SampleN, plan.SampleSeed)
+	if local != plan.Fingerprint {
+		return nil, fmt.Errorf("dist: plan fingerprint %s does not match locally computed %s — coordinator/worker version skew",
+			plan.Fingerprint, local)
+	}
+	m, err := scenario.NewMatrix(plan.Spec)
+	if err != nil {
+		return nil, err
+	}
+	w.memo = &planMemo{plan: *plan, matrix: m, selection: plan.Selection(m)}
+	return w.memo, nil
 }
 
 // submit pushes the envelope back under its lease, retrying retryable

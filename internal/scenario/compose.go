@@ -1,9 +1,8 @@
 package scenario
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Block is one sub-matrix of a composed spec: an independent axis list
@@ -41,16 +40,49 @@ func canonicalBlock(b Block) Block {
 
 // encodeBlock renders a canonical block injectively (length-prefixed
 // fields, newline-delimited lines) — the comparison and sort key of
-// canonicalization and the unit the fingerprint folds.
-func encodeBlock(b Block) string {
-	var sb strings.Builder
-	for _, ax := range b.Axes {
-		fmt.Fprintf(&sb, "axis=%d:%s\n", len(ax.Name), ax.Name)
+// canonicalization. Its lines are exactly the axis and value lines the
+// fingerprint folds (see appendAxes).
+func encodeBlock(b Block) string { return string(appendAxes(nil, b.Axes)) }
+
+// appendAxes appends one length-prefixed line per axis name and per
+// value: "axis=<len>:<name>\n" then "value=<len>:<value>\n" for each
+// value, in order.
+func appendAxes(dst []byte, axes []Axis) []byte {
+	for _, ax := range axes {
+		dst = appendField(dst, "axis=", ax.Name)
 		for _, v := range ax.Values {
-			fmt.Fprintf(&sb, "value=%d:%s\n", len(v), v)
+			dst = appendField(dst, "value=", v)
 		}
 	}
-	return sb.String()
+	return dst
+}
+
+// appendField appends the line "<key><len(val)>:<val>\n".
+func appendField(dst []byte, key, val string) []byte {
+	dst = append(dst, key...)
+	dst = strconv.AppendInt(dst, int64(len(val)), 10)
+	dst = append(dst, ':')
+	dst = append(dst, val...)
+	return append(dst, '\n')
+}
+
+// sortBlocks orders canonical blocks by their encoding, computing each
+// block's encoding once rather than twice per comparison. Equal keys
+// mean identical blocks (the encoding is injective), so stability does
+// not matter.
+func sortBlocks(blocks []Block) {
+	type keyed struct {
+		key string
+		b   Block
+	}
+	ks := make([]keyed, len(blocks))
+	for i, b := range blocks {
+		ks[i] = keyed{encodeBlock(b), b}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	for i := range ks {
+		blocks[i] = ks[i].b
+	}
 }
 
 // sameAxisNames reports whether two canonical blocks declare the same
@@ -132,7 +164,7 @@ func (s *Spec) Canonical() *Spec {
 		blocks[i] = canonicalBlock(b)
 	}
 	for {
-		sort.Slice(blocks, func(i, j int) bool { return encodeBlock(blocks[i]) < encodeBlock(blocks[j]) })
+		sortBlocks(blocks)
 		merged := false
 	scan:
 		for i := 0; i < len(blocks) && !merged; i++ {

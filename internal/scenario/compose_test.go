@@ -88,6 +88,22 @@ func TestComposedFingerprintInvariance(t *testing.T) {
 	}
 }
 
+// TestEncodeBlockPinned pins encodeBlock's bytes: they are the sort key
+// that orders a composed spec's canonical blocks, so any change to them
+// could reorder enumeration and move fingerprints.
+func TestEncodeBlockPinned(t *testing.T) {
+	t.Parallel()
+
+	b := canonicalBlock(Block{Axes: []Axis{
+		{Name: "server", Values: []string{"-1", "0"}},
+		{Name: "goal", Values: []string{"fsm", "états"}},
+	}})
+	const want = "axis=4:goal\nvalue=3:fsm\nvalue=6:états\naxis=6:server\nvalue=2:-1\nvalue=1:0\n"
+	if got := encodeBlock(b); got != want {
+		t.Fatalf("encodeBlock = %q, want %q", got, want)
+	}
+}
+
 // TestFlatVsComposedFingerprintEquality checks that a composition which
 // collapses to a single block shares its fingerprint — and therefore its
 // shard envelopes and cache keys — with the equivalent flat spec

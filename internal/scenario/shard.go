@@ -111,29 +111,19 @@ func Fingerprint(spec *Spec, registry string, seeds, window int, baseSeed uint64
 		sampleN, sampleSeed = 0, 0
 	}
 	spec = spec.Canonical()
-	h := uint64(offset64)
-	h = fnv1aLine(h, fmt.Sprintf("spec=%d:%s", len(spec.Name), spec.Name))
-	h = fnv1aLine(h, fmt.Sprintf("registry=%d:%s", len(registry), registry))
+	buf := appendField(nil, "spec=", spec.Name)
+	buf = appendField(buf, "registry=", registry)
 	for bi, b := range spec.Blocks {
-		h = fnv1aLine(h, fmt.Sprintf("block=%d", bi))
-		for _, ax := range b.Axes {
-			h = fnv1aLine(h, fmt.Sprintf("axis=%d:%s", len(ax.Name), ax.Name))
-			for _, v := range ax.Values {
-				h = fnv1aLine(h, fmt.Sprintf("value=%d:%s", len(v), v))
-			}
-		}
+		buf = append(strconv.AppendInt(append(buf, "block="...), int64(bi), 10), '\n')
+		buf = appendAxes(buf, b.Axes)
 	}
-	for _, ax := range spec.Axes {
-		h = fnv1aLine(h, fmt.Sprintf("axis=%d:%s", len(ax.Name), ax.Name))
-		for _, v := range ax.Values {
-			h = fnv1aLine(h, fmt.Sprintf("value=%d:%s", len(v), v))
-		}
-	}
-	h = fnv1aLine(h, fmt.Sprintf("seeds=%d", seeds))
-	h = fnv1aLine(h, fmt.Sprintf("window=%d", window))
-	h = fnv1aLine(h, fmt.Sprintf("base=%d", baseSeed))
-	h = fnv1aLine(h, fmt.Sprintf("sample=%d@%d", sampleN, sampleSeed))
-	return fmt.Sprintf("%016x", h)
+	buf = appendAxes(buf, spec.Axes)
+	buf = append(strconv.AppendInt(append(buf, "seeds="...), int64(seeds), 10), '\n')
+	buf = append(strconv.AppendInt(append(buf, "window="...), int64(window), 10), '\n')
+	buf = append(strconv.AppendUint(append(buf, "base="...), baseSeed, 10), '\n')
+	buf = strconv.AppendInt(append(buf, "sample="...), int64(sampleN), 10)
+	buf = append(strconv.AppendUint(append(buf, '@'), sampleSeed, 10), '\n')
+	return fmt.Sprintf("%016x", fnv1a(offset64, string(buf)))
 }
 
 // ShardFormatVersion versions the ShardResult envelope; readers reject

@@ -465,6 +465,38 @@ func TestFingerprintSensitivity(t *testing.T) {
 	add("axis order", Fingerprint(reordered, reg, 2, 10, 1, 0, 0))
 }
 
+// TestBuiltinFingerprintsPinned pins the literal fingerprint of every
+// built-in spec (composed ones sampled too) under the stock registry and
+// the spec's own parameters. Job IDs, cache keys and state directories
+// derive from these strings, so any change to the canonicalization or
+// the fingerprint encoding that moves them must be deliberate.
+func TestBuiltinFingerprintsPinned(t *testing.T) {
+	t.Parallel()
+
+	for _, c := range []struct {
+		name       string
+		sampleN    int
+		sampleSeed uint64
+		want       string
+	}{
+		{"adversarial", 0, 0, "9d7cb25680ed9a22"},
+		{"adversarial", 25, 7, "f7f3afe96d482056"},
+		{"default", 0, 0, "832d9418b4db5241"},
+		{"family", 0, 0, "7ebe6bf23627d03a"},
+		{"family", 600, 1, "846471370ec2c231"},
+		{"family", 5000, 3, "2bb88dc2fe8d2166"},
+		{"quick", 0, 0, "6da9d89ad6eda166"},
+	} {
+		spec, err := BuiltinSpec(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := shardFingerprint(spec, SweepConfig{}, c.sampleN, c.sampleSeed); got != c.want {
+			t.Errorf("%s sample %d@%d: fingerprint %s, pinned %s", c.name, c.sampleN, c.sampleSeed, got, c.want)
+		}
+	}
+}
+
 // TestShardedSweepTrialBatchInvariant re-runs the merge property with
 // every shard using a different TrialBatch: batching is invisible to the
 // shard envelopes, so the merge still reproduces the serial unbatched
