@@ -31,24 +31,16 @@ import (
 func runChaostest(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("goalsweep chaostest", flag.ContinueOnError)
 	var (
-		specPath   = fs.String("spec", "", "JSON scenario spec file")
-		builtin    = fs.String("builtin", "quick", builtinUsage)
-		shards     = fs.Int("shards", 6, "work units to partition the sweep into")
-		workers    = fs.Int("workers", 2, "concurrent workers in the in-process fleet")
-		sample     = fs.Int("sample", 0, "sweep only a deterministic random subset of this many scenarios (0 = all)")
-		sampleSeed = fs.Uint64("sampleseed", 1, "seed for -sample subset selection")
-		seeds      = fs.Int("seeds", 0, "override the spec's trials per scenario (0 = spec value)")
-		window     = fs.Int("window", 0, "override the spec's convergence window (0 = spec value)")
-		baseSeed   = fs.Uint64("baseseed", 0, "override the spec's base seed (0 = spec value)")
-		chaosSpec  = fs.String("chaos", "drop=2,delay=2:10ms,dup=1,trunc=1,err=2", "fault schedule to inject on the workers' requests")
-		chaosSeed  = fs.Uint64("chaosseed", 1, "seed for the fault schedule; same spec + seed reproduces the same faults")
-		runs       = fs.Int("runs", 2, "repetitions of the chaotic sweep; all must match the serial baseline and each other's fault logs")
-		poll       = fs.Duration("poll", 10*time.Millisecond, "worker lease-poll interval and retry-backoff base")
-		faultLog   = fs.Bool("faultlog", false, "print the canonical fault log to stdout")
-		verbose    = fs.Bool("v", false, "log every chaos/lease/shard lifecycle event to stderr (default: warnings only)")
-		filters    filterFlags
+		shards    = fs.Int("shards", 6, "work units to partition the sweep into")
+		workers   = fs.Int("workers", 2, "concurrent workers in the in-process fleet")
+		chaosSpec = fs.String("chaos", "drop=2,delay=2:10ms,dup=1,trunc=1,err=2", "fault schedule to inject on the workers' requests")
+		chaosSeed = fs.Uint64("chaosseed", 1, "seed for the fault schedule; same spec + seed reproduces the same faults")
+		runs      = fs.Int("runs", 2, "repetitions of the chaotic sweep; all must match the serial baseline and each other's fault logs")
+		poll      = fs.Duration("poll", 10*time.Millisecond, "worker lease-poll interval and retry-backoff base")
+		faultLog  = fs.Bool("faultlog", false, "print the canonical fault log to stdout")
+		verbose   = fs.Bool("v", false, "log every chaos/lease/shard lifecycle event to stderr (default: warnings only)")
 	)
-	fs.Var(&filters, "filter", "restrict an axis: axis=v1,v2 (repeatable)")
+	sf := addSweepFlags(fs, "quick")
 	fs.SetOutput(stdout)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -72,12 +64,11 @@ func runChaostest(ctx context.Context, args []string, stdout, stderr io.Writer) 
 		return fmt.Errorf("chaos horizon %d exceeds -shards %d: scheduled faults past the shard count may never fire, so the fault log would not be comparable across runs", cs.Horizon, *shards)
 	}
 
-	spec, err := resolveSpec(*specPath, *builtin, filters)
+	spec, err := sf.spec()
 	if err != nil {
 		return err
 	}
-	cfg := scenario.SweepConfig{Seeds: *seeds, Window: *window, BaseSeed: *baseSeed}
-	plan, err := dist.NewPlan(spec, scenario.Builtin().Version(), cfg, *shards, *sample, *sampleSeed)
+	plan, err := dist.NewPlan(spec, scenario.Builtin().Version(), sf.config(), *shards, sf.sample, sf.sampleSeed)
 	if err != nil {
 		return err
 	}
@@ -164,7 +155,7 @@ func chaoticSweep(ctx context.Context, plan dist.Plan, inj *chaos.Injector, work
 			_, errs[i] = w.Run(ctx)
 		}()
 	}
-	waitErr := coord.Wait(ctx)
+	waitErr := coord.WaitJob(ctx, dist.JobID(plan))
 	wg.Wait()
 	if waitErr != nil {
 		return nil, waitErr
@@ -174,7 +165,7 @@ func chaoticSweep(ctx context.Context, plan dist.Plan, inj *chaos.Injector, work
 			return nil, err
 		}
 	}
-	stats, sum, err := coord.Merged()
+	stats, sum, err := coord.JobMerged(dist.JobID(plan))
 	if err != nil {
 		return nil, err
 	}

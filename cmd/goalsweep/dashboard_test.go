@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"os"
@@ -8,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 )
 
 // getBody fetches a URL and returns status, content type, and body.
@@ -88,12 +91,25 @@ func TestServeDashboardEndpoints(t *testing.T) {
 	}
 
 	// The protocol endpoints still work underneath the dashboard mux,
-	// and /status carries the multi-job array alongside the legacy flat
-	// mirror fields.
+	// and /status carries the batch job in its jobs array.
 	status, _, body = getBody(t, url+"/status")
-	if status != http.StatusOK || !strings.Contains(body, `"shards":2`) ||
-		!strings.Contains(body, `"jobs":[`) {
+	if status != http.StatusOK {
 		t.Fatalf("GET /status through dashboard mux = %d %q", status, body)
+	}
+	var st dist.StatusResponse
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := scenario.BuiltinSpec("quick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := dist.NewPlan(spec, scenario.Builtin().Version(), scenario.SweepConfig{}, 2, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Jobs) != 1 || st.Jobs[0].ID != dist.JobID(plan) || st.Jobs[0].Shards != 2 {
+		t.Fatalf("GET /status jobs = %+v, want the batch job %s with 2 shards", st.Jobs, dist.JobID(plan))
 	}
 
 	var b strings.Builder

@@ -72,19 +72,12 @@ func eventLogger(stderr io.Writer, verbose bool) *obs.Logger {
 func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("goalsweep serve", flag.ContinueOnError)
 	var (
-		specPath     = fs.String("spec", "", "JSON scenario spec file")
-		builtin      = fs.String("builtin", "", builtinUsage)
 		shardsFlag   = fs.String("shards", "2", "how many work units to partition the selection into (a count; \"auto\" is only meaningful per job, via goalsweep submit)")
 		service      = fs.Bool("service", false, "run a long-lived multi-tenant job queue instead of a one-shot batch sweep; jobs arrive via goalsweep submit, so spec and report flags are refused")
 		stateDir     = fs.String("state", "", "persist job plans and shard envelopes under this directory and resume incomplete jobs on restart")
 		listen       = fs.String("listen", "127.0.0.1:0", "coordinator listen address (host:port; port 0 picks one)")
 		leaseTimeout = fs.Duration("lease-timeout", 2*time.Minute, "re-issue a shard when its worker has neither submitted nor renewed within this long (workers renew at a third of it while computing)")
 		linger       = fs.Duration("linger", 2*time.Second, "after the last shard lands, keep serving this long so polling workers hear the sweep is done")
-		sample       = fs.Int("sample", 0, "sweep only a deterministic random subset of this many scenarios (0 = all)")
-		sampleSeed   = fs.Uint64("sampleseed", 1, "seed for -sample subset selection")
-		seeds        = fs.Int("seeds", 0, "override the spec's trials per scenario (0 = spec value)")
-		window       = fs.Int("window", 0, "override the spec's convergence window (0 = spec value)")
-		baseSeed     = fs.Uint64("baseseed", 0, "override the spec's base seed (0 = spec value)")
 		jsonOut      = fs.Bool("json", false, "emit the merged aggregates and summary as JSON")
 		csvOut       = fs.Bool("csv", false, "emit the merged aggregates as CSV")
 		outPath      = fs.String("out", "", "write output to this file instead of stdout")
@@ -98,9 +91,8 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 		verbose      = fs.Bool("v", false, "log every lease/submit lifecycle event to stderr (default: warnings only)")
 		cpuProfile   = fs.String("cpuprofile", "", "refused: profile a local goalsweep run instead")
 		memProfile   = fs.String("memprofile", "", "refused: profile a local goalsweep run instead")
-		filters      filterFlags
 	)
-	fs.Var(&filters, "filter", "restrict an axis: axis=v1,v2 (repeatable)")
+	sf := addSweepFlags(fs, "")
 	fs.SetOutput(stdout)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -122,8 +114,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 		// A service has no spec of its own (jobs arrive over the API) and
 		// writes no report (watch renders them per job), so every flag
 		// that shapes either is a mistake worth refusing loudly.
-		if *specPath != "" || *builtin != "" || len(filters) > 0 || *sample != 0 ||
-			*seeds != 0 || *window != 0 || *baseSeed != 0 || *shardsFlag != "2" {
+		if sf.given() || *shardsFlag != "2" {
 			return fmt.Errorf("serve -service takes no sweep flags: submit specs with `goalsweep submit` (per-job -shards/-seeds/... live there)")
 		}
 		if *jsonOut || *csvOut || *outPath != "" || *benchPath != "" {
@@ -169,15 +160,14 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 	if shards == 0 {
 		return fmt.Errorf("-shards auto sizes per submitted job and needs -service; a batch sweep wants an explicit count")
 	}
-	spec, err := resolveSpec(*specPath, *builtin, filters)
+	spec, err := sf.spec()
 	if err != nil {
 		return err
 	}
-	cfg := scenario.SweepConfig{Seeds: *seeds, Window: *window, BaseSeed: *baseSeed}
 	// The CLI always binds through the stock registry, on both sides of
 	// the protocol; workers re-derive the fingerprint from their own
 	// binary and refuse a skewed plan.
-	plan, err := dist.NewPlan(spec, scenario.Builtin().Version(), cfg, shards, *sample, *sampleSeed)
+	plan, err := dist.NewPlan(spec, scenario.Builtin().Version(), sf.config(), shards, sf.sample, sf.sampleSeed)
 	if err != nil {
 		return err
 	}
@@ -211,45 +201,48 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 	go srv.Serve(ln)
 	defer srv.Close()
 
-	if err := coord.Wait(ctx); err != nil {
+	job := dist.JobID(plan)
+	if err := coord.WaitJob(ctx, job); err != nil {
 		return err
 	}
-	// Clock the sweep from its first lease grant to its last accepted
-	// submit, so idle time before the fleet connects is not counted.
-	elapsed := coord.Elapsed()
+	// The accounting clocks the sweep from its first lease grant to its
+	// last accepted submit, so idle time before the fleet connects is
+	// not counted.
+	acct, err := coord.Accounting(job)
+	if err != nil {
+		return err
+	}
 	// Let live workers hear StatusDone before the listener goes away;
 	// crashed workers never drain, so this is deadline-bounded.
 	drainCtx, cancel := context.WithTimeout(context.Background(), *linger)
 	coord.WaitDrained(drainCtx)
 	cancel()
-	stats, sum, err := coord.Merged()
+	stats, sum, err := coord.JobMerged(job)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stderr, "goalsweep: distributed sweep complete: %d shards from %d workers in %v\n",
-		plan.Shards, coord.Workers(), elapsed.Round(time.Millisecond))
+		plan.Shards, coord.Workers(), acct.Elapsed.Round(time.Millisecond))
 	if *benchPath != "" {
 		// Mirror the local CLI's -bench/-cache refusal: if the fleet
 		// served scenarios from warm caches (or a worker did not report
 		// its executed-trial count), the artifact would divide all rounds
 		// by a fraction of the work and poison benchcmp gates. Skip it
 		// loudly instead of writing a lie.
-		executed, known := coord.ExecutedTrials()
-		if !known || executed != int64(sum.Trials) {
+		if !acct.ExecutedKnown || acct.Executed != int64(sum.Trials) {
 			fmt.Fprintf(stderr, "goalsweep: warning: -bench artifact skipped: workers executed %d of %d trials (warm result cache?) — the artifact would lie about throughput\n",
-				executed, sum.Trials)
+				acct.Executed, sum.Trials)
 		} else {
 			// The distributed artifact's effective parallelism is the
 			// fleet's: the sum of the submitting workers' trial pools.
 			// Mallocs is the fleet's summed heap-allocation delta, as
 			// reported by each shard's executing worker at submit time
 			// (0 only if some worker failed to report one).
-			submitters, totalParallel := coord.Submitters()
-			mallocs, mallocsKnown := coord.Mallocs()
-			if !mallocsKnown {
+			mallocs := acct.Mallocs
+			if !acct.MallocsKnown {
 				mallocs = 0
 			}
-			if err := writeBench(*benchPath, sum, elapsed, totalParallel, submitters, mallocs, nil); err != nil {
+			if err := writeBench(*benchPath, sum, acct.Elapsed, acct.Parallel, acct.Submitters, mallocs, nil); err != nil {
 				return err
 			}
 		}

@@ -98,9 +98,66 @@ func (f *filterFlags) Set(v string) error {
 	return nil
 }
 
-// builtinUsage is every subcommand's -builtin help text, built from the
-// spec names themselves so it cannot drift from them.
-var builtinUsage = "built-in spec name (" + strings.Join(scenario.BuiltinSpecNames(), ", ") + "); ignored when -spec is set"
+// sweepFlags are the flags that choose and shape a sweep, shared by
+// every verb that plans one: the spec (-spec, -builtin, -filter), the
+// selection (-sample, -sampleseed) and the execution overrides (-seeds,
+// -window, -baseseed).
+type sweepFlags struct {
+	specPath, builtin string
+	filters           filterFlags
+	sample            int
+	sampleSeed        uint64
+	seeds, window     int
+	baseSeed          uint64
+}
+
+// addSweepFlags registers the sweep flags on fs; builtin is -builtin's
+// default.
+func addSweepFlags(fs *flag.FlagSet, builtin string) *sweepFlags {
+	sf := &sweepFlags{}
+	fs.StringVar(&sf.specPath, "spec", "", "JSON scenario spec file")
+	// The -builtin help is built from the spec names themselves so it
+	// cannot drift from them.
+	fs.StringVar(&sf.builtin, "builtin", builtin,
+		"built-in spec name ("+strings.Join(scenario.BuiltinSpecNames(), ", ")+"); ignored when -spec is set")
+	fs.Var(&sf.filters, "filter", "restrict an axis: axis=v1,v2 (repeatable)")
+	fs.IntVar(&sf.sample, "sample", 0, "sweep only a deterministic random subset of this many scenarios (0 = all)")
+	fs.Uint64Var(&sf.sampleSeed, "sampleseed", 1, "seed for -sample subset selection")
+	fs.IntVar(&sf.seeds, "seeds", 0, "override the spec's trials per scenario (0 = spec value)")
+	fs.IntVar(&sf.window, "window", 0, "override the spec's convergence window (0 = spec value)")
+	fs.Uint64Var(&sf.baseSeed, "baseseed", 0, "override the spec's base seed (0 = spec value)")
+	return sf
+}
+
+// spec loads the chosen spec with the -filter restrictions applied.
+func (sf *sweepFlags) spec() (*scenario.Spec, error) {
+	spec, err := loadSpec(sf.specPath, sf.builtin)
+	if err != nil {
+		return nil, err
+	}
+	for _, f := range sf.filters {
+		name, vals, ok := strings.Cut(f, "=")
+		if !ok {
+			return nil, fmt.Errorf("bad -filter %q: want axis=v1,v2", f)
+		}
+		if err := spec.Restrict(name, strings.Split(vals, ",")...); err != nil {
+			return nil, err
+		}
+	}
+	return spec, nil
+}
+
+// config is the execution overrides as a SweepConfig.
+func (sf *sweepFlags) config() scenario.SweepConfig {
+	return scenario.SweepConfig{Seeds: sf.seeds, Window: sf.window, BaseSeed: sf.baseSeed}
+}
+
+// given reports whether a spec was chosen or narrowed, a sample asked
+// for, or an execution override set.
+func (sf *sweepFlags) given() bool {
+	return sf.specPath != "" || sf.builtin != "" || len(sf.filters) > 0 || sf.sample != 0 ||
+		sf.seeds != 0 || sf.window != 0 || sf.baseSeed != 0
+}
 
 // run is runCtx without cancellation — the signature most tests use.
 func run(args []string, stdout, stderr io.Writer) error {
@@ -128,16 +185,9 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 	}
 	fs := flag.NewFlagSet("goalsweep", flag.ContinueOnError)
 	var (
-		specPath    = fs.String("spec", "", "JSON scenario spec file")
-		builtin     = fs.String("builtin", "", builtinUsage)
-		sample      = fs.Int("sample", 0, "sweep only a deterministic random subset of this many scenarios (0 = all)")
-		sampleSeed  = fs.Uint64("sampleseed", 1, "seed for -sample subset selection")
 		parallel    = fs.Int("parallel", 0, "trial worker pool size (0 = GOMAXPROCS); does not affect results")
 		chunk       = fs.Int("chunk", 256, "trials buffered per engine batch; does not affect results")
 		trialBatch  = fs.Int("trialbatch", 1, "consecutive trials a worker claims per scheduling step; does not affect results")
-		seeds       = fs.Int("seeds", 0, "override the spec's trials per scenario (0 = spec value)")
-		window      = fs.Int("window", 0, "override the spec's convergence window (0 = spec value)")
-		baseSeed    = fs.Uint64("baseseed", 0, "override the spec's base seed (0 = spec value)")
 		jsonOut     = fs.Bool("json", false, "emit per-scenario aggregates and the summary as JSON")
 		csvOut      = fs.Bool("csv", false, "emit per-scenario aggregates as CSV")
 		list        = fs.Bool("list", false, "list the selected scenarios without executing them")
@@ -148,9 +198,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 		fingerprint = fs.Bool("fingerprint", false, "print the sweep fingerprint (cache/merge identity) and exit without executing")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file (pprof format)")
 		memProfile  = fs.String("memprofile", "", "write a heap profile, taken after the sweep completes, to this file (pprof format)")
-		filters     filterFlags
 	)
-	fs.Var(&filters, "filter", "restrict an axis: axis=v1,v2 (repeatable)")
+	sf := addSweepFlags(fs, "")
 	fs.SetOutput(stdout)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -179,7 +228,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 		}
 	}
 
-	spec, err := resolveSpec(*specPath, *builtin, filters)
+	spec, err := sf.spec()
 	if err != nil {
 		return err
 	}
@@ -191,17 +240,13 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 	// adopt it so the report, envelope and fingerprint agree.
 	spec = m.Spec()
 
-	cfg := scenario.SweepConfig{
-		Parallel:    *parallel,
-		Seeds:       *seeds,
-		Window:      *window,
-		BaseSeed:    *baseSeed,
-		ChunkTrials: *chunk,
-		TrialBatch:  *trialBatch,
-	}
+	cfg := sf.config()
+	cfg.Parallel = *parallel
+	cfg.ChunkTrials = *chunk
+	cfg.TrialBatch = *trialBatch
 	effSeeds, effWindow, effBase := cfg.Effective(spec)
 	// The CLI always binds through the stock registry.
-	fp := scenario.Fingerprint(spec, scenario.Builtin().Version(), effSeeds, effWindow, effBase, *sample, *sampleSeed)
+	fp := scenario.Fingerprint(spec, scenario.Builtin().Version(), effSeeds, effWindow, effBase, sf.sample, sf.sampleSeed)
 
 	out, closeOut, err := openOut(*outPath, stdout)
 	if err != nil {
@@ -221,8 +266,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 	}
 
 	var indices []int64 // nil = the whole matrix
-	if *sample > 0 {
-		indices = m.Sample(*sample, *sampleSeed)
+	if sf.sample > 0 {
+		indices = m.Sample(sf.sample, sf.sampleSeed)
 	}
 	if sharded {
 		indices = shard.Indices(m, indices)
@@ -314,7 +359,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 		}
 	}
 	if *benchPath != "" {
-		perGoal, err := benchPerGoal(*specPath, *builtin, filters, spec, cfg, *sample)
+		perGoal, err := benchPerGoal(sf, spec, cfg)
 		if err != nil {
 			return err
 		}
@@ -621,24 +666,6 @@ func checkBenchHistory(path string, stdout io.Writer) error {
 	return nil
 }
 
-// resolveSpec loads the spec and applies -filter restrictions.
-func resolveSpec(specPath, builtin string, filters filterFlags) (*scenario.Spec, error) {
-	spec, err := loadSpec(specPath, builtin)
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range filters {
-		name, vals, ok := strings.Cut(f, "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -filter %q: want axis=v1,v2", f)
-		}
-		if err := spec.Restrict(name, strings.Split(vals, ",")...); err != nil {
-			return nil, err
-		}
-	}
-	return spec, nil
-}
-
 // loadSpec reads -spec, or resolves -builtin (defaulting to "default").
 func loadSpec(specPath, builtin string) (*scenario.Spec, error) {
 	if specPath != "" {
@@ -773,9 +800,8 @@ func writeTable(out io.Writer, m *scenario.Matrix, spec *scenario.Spec,
 // selections are skipped (a goal restriction cannot reproduce a random
 // subset), as are specs without at least two goal values (the breakdown
 // would restate the aggregate).
-func benchPerGoal(specPath, builtin string, filters filterFlags, spec *scenario.Spec,
-	cfg scenario.SweepConfig, sample int) ([]harness.GoalBench, error) {
-	if sample > 0 {
+func benchPerGoal(sf *sweepFlags, spec *scenario.Spec, cfg scenario.SweepConfig) ([]harness.GoalBench, error) {
+	if sf.sample > 0 {
 		return nil, nil
 	}
 	var goals []string
@@ -789,7 +815,7 @@ func benchPerGoal(specPath, builtin string, filters filterFlags, spec *scenario.
 	}
 	out := make([]harness.GoalBench, 0, len(goals))
 	for _, g := range goals {
-		gspec, err := resolveSpec(specPath, builtin, filters)
+		gspec, err := sf.spec()
 		if err != nil {
 			return nil, err
 		}

@@ -23,17 +23,9 @@ func runSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	fs := flag.NewFlagSet("goalsweep submit", flag.ContinueOnError)
 	var (
 		coordinator = fs.String("coordinator", "", "coordinator base URL (http://host:port; required)")
-		specPath    = fs.String("spec", "", "JSON scenario spec file")
-		builtin     = fs.String("builtin", "", builtinUsage)
 		shardsFlag  = fs.String("shards", "auto", "work units to partition the job into (a count, or \"auto\" to let the coordinator size it from fleet size and observed shard latency)")
-		sample      = fs.Int("sample", 0, "sweep only a deterministic random subset of this many scenarios (0 = all)")
-		sampleSeed  = fs.Uint64("sampleseed", 1, "seed for -sample subset selection")
-		seeds       = fs.Int("seeds", 0, "override the spec's trials per scenario (0 = spec value)")
-		window      = fs.Int("window", 0, "override the spec's convergence window (0 = spec value)")
-		baseSeed    = fs.Uint64("baseseed", 0, "override the spec's base seed (0 = spec value)")
-		filters     filterFlags
 	)
-	fs.Var(&filters, "filter", "restrict an axis: axis=v1,v2 (repeatable)")
+	sf := addSweepFlags(fs, "")
 	fs.SetOutput(stdout)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -45,18 +37,18 @@ func runSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	if err != nil {
 		return err
 	}
-	spec, err := resolveSpec(*specPath, *builtin, filters)
+	spec, err := sf.spec()
 	if err != nil {
 		return err
 	}
 	resp, err := dist.NewClient(*coordinator, nil).CreateSweep(ctx, dist.SweepRequest{
 		Spec:       spec,
 		Shards:     shards,
-		Seeds:      *seeds,
-		Window:     *window,
-		BaseSeed:   *baseSeed,
-		SampleN:    *sample,
-		SampleSeed: *sampleSeed,
+		Seeds:      sf.seeds,
+		Window:     sf.window,
+		BaseSeed:   sf.baseSeed,
+		SampleN:    sf.sample,
+		SampleSeed: sf.sampleSeed,
 	})
 	if err != nil {
 		return err

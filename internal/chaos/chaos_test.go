@@ -146,25 +146,30 @@ func countingHandler(calls *atomic.Int64, body string) http.Handler {
 func TestTransportDrop(t *testing.T) {
 	t.Parallel()
 	var calls atomic.Int64
-	in := faultAt(t, Drop, OpLease, 0, 0)
-	cl := chaosClient(in, countingHandler(&calls, "ok"))
-	if _, err := cl.Post("http://chaos/v1/leases", "application/json", strings.NewReader("{}")); err == nil {
-		t.Fatal("dropped request returned no error")
-	}
-	if calls.Load() != 0 {
-		t.Fatalf("dropped request reached the handler %d times", calls.Load())
-	}
-	// The next lease call passes through: the budget is spent.
-	resp, err := cl.Post("http://chaos/v1/leases", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if calls.Load() != 1 {
-		t.Fatalf("second call reached the handler %d times, want 1", calls.Load())
-	}
-	if log := in.Log(); len(log) != 1 || log[0].Class != Drop {
-		t.Fatalf("fault log = %v, want one drop", log)
+	// Both lease routes — the fair-share pull and the job-scoped one —
+	// are lease operations.
+	for _, path := range []string{"/v1/leases", "/v1/sweeps/sw-1/leases"} {
+		calls.Store(0)
+		in := faultAt(t, Drop, OpLease, 0, 0)
+		cl := chaosClient(in, countingHandler(&calls, "ok"))
+		if _, err := cl.Post("http://chaos"+path, "application/json", strings.NewReader("{}")); err == nil {
+			t.Fatalf("%s: dropped request returned no error", path)
+		}
+		if calls.Load() != 0 {
+			t.Fatalf("%s: dropped request reached the handler %d times", path, calls.Load())
+		}
+		// The next lease call passes through: the budget is spent.
+		resp, err := cl.Post("http://chaos"+path, "application/json", strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if calls.Load() != 1 {
+			t.Fatalf("%s: second call reached the handler %d times, want 1", path, calls.Load())
+		}
+		if log := in.Log(); len(log) != 1 || log[0].Class != Drop {
+			t.Fatalf("%s: fault log = %v, want one drop", path, log)
+		}
 	}
 }
 
@@ -244,14 +249,15 @@ func TestTransportDelayStalls(t *testing.T) {
 	}
 }
 
-// TestTransportExemptOps: only lease and submit calls burn sequence
-// numbers; renewals and event streams never suffer request faults.
+// TestTransportExemptOps: only /v1 lease and submit calls burn sequence
+// numbers; renewals, event streams and unversioned paths never suffer
+// request faults.
 func TestTransportExemptOps(t *testing.T) {
 	t.Parallel()
 	var calls atomic.Int64
 	in := faultAt(t, Drop, OpLease, 0, 0)
 	cl := chaosClient(in, countingHandler(&calls, "ok"))
-	for _, path := range []string{"/v1/leases/lease-1/renew", "/v1/sweeps/sw-1/events", "/status", "/v1/sweeps"} {
+	for _, path := range []string{"/v1/leases/lease-1/renew", "/v1/sweeps/sw-1/events", "/status", "/v1/sweeps", "/lease", "/submit"} {
 		resp, err := cl.Post("http://chaos"+path, "application/json", strings.NewReader("{}"))
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
@@ -323,7 +329,7 @@ func TestDupPreservesBody(t *testing.T) {
 	in := faultAt(t, Dup, OpSubmit, 0, 0)
 	cl := chaosClient(in, h)
 	payload := `{"shard":"1/2"}`
-	resp, err := cl.Post("http://chaos/submit", "application/json", strings.NewReader(payload))
+	resp, err := cl.Post("http://chaos/v1/leases/lease-1/result", "application/json", strings.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,11 +100,9 @@ func TestChaosDistributedByteIdentical(t *testing.T) {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
-	if err := coord.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
+	waitJob(t, ctx, coord, plan)
 
-	if got, want := mergedReport(t, coord), serialReport(t, plan); got != want {
+	if got, want := mergedReport(t, coord, plan), serialReport(t, plan); got != want {
 		t.Fatal("chaotic merged report differs from fresh serial run")
 	}
 	if fired := inj.Log(); len(fired) != cs.Total() {
@@ -165,14 +163,12 @@ func TestChaosDeterministicFaultLog(t *testing.T) {
 				t.Fatalf("worker %d: %v", i, err)
 			}
 		}
-		if err := coord.Wait(ctx); err != nil {
-			t.Fatal(err)
-		}
+		waitJob(t, ctx, coord, plan)
 		fired := inj.Log()
 		if len(fired) != cs.Total() {
 			t.Fatalf("%d of %d scheduled faults fired", len(fired), cs.Total())
 		}
-		return chaos.FormatLog(fired), mergedReport(t, coord)
+		return chaos.FormatLog(fired), mergedReport(t, coord, plan)
 	}
 
 	log1, rep1 := runOnce(11)
@@ -268,7 +264,7 @@ func TestResumeHealsDamagedState(t *testing.T) {
 	if got := trialCounter.Value() - trials0; got != 8 {
 		t.Fatalf("engine started %d trials after damaged resume, want 8 (intact shard re-executed?)", got)
 	}
-	if got, want := mergedReport(t, coord2), serialReport(t, plan); got != want {
+	if got, want := mergedReport(t, coord2, plan), serialReport(t, plan); got != want {
 		t.Fatal("merged report after healing differs from fresh serial run")
 	}
 	// The rewritten plan file is intact again.
@@ -377,9 +373,7 @@ func TestWorkerRetries429(t *testing.T) {
 	if n, err := w.Run(context.Background()); err != nil || n != 2 {
 		t.Fatalf("worker under shedding: (%d, %v), want (2, nil)", n, err)
 	}
-	if err := coord.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	waitJob(t, context.Background(), coord, plan)
 }
 
 // cutEventsOnce passes requests through untouched except the first

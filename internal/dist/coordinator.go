@@ -64,9 +64,9 @@ type CoordinatorConfig struct {
 // Coordinator is a multi-tenant sweep service: a queue of jobs (each one
 // planned sweep), leased shard-by-shard to workers fair-share across
 // jobs, with the resulting envelopes collected per job. It is an
-// http.Handler serving the versioned /v1 resource API plus the legacy
-// single-sweep routes; all state is guarded by one mutex, so a
-// coordinator can serve any number of concurrent workers and submitters.
+// http.Handler serving the versioned /v1 resource API; all state is
+// guarded by one mutex, so a coordinator can serve any number of
+// concurrent workers and submitters.
 //
 // A coordinator built with NewCoordinator is *sealed*: its queue holds
 // exactly the one batch job and accepts no submissions, and workers are
@@ -87,7 +87,7 @@ type Coordinator struct {
 
 	mu        sync.Mutex
 	jobs      map[string]*job // job ID -> job
-	order     []*job          // submission order; order[0] is the default job
+	order     []*job          // submission order
 	cursor    int             // index into order of the last job granted a lease
 	leases    map[string]leaseInfo
 	workers   map[string]*workerInfo // every worker that ever polled
@@ -196,15 +196,11 @@ func newCoordinator(cfg CoordinatorConfig) *Coordinator {
 	c.mux.HandleFunc("GET /v1/sweeps", c.handleListSweeps)
 	c.mux.HandleFunc("GET /v1/sweeps/{id}", c.handleGetSweep)
 	c.mux.HandleFunc("GET /v1/sweeps/{id}/events", c.handleEvents)
-	c.mux.HandleFunc("POST /v1/sweeps/{id}/leases", c.shedLease(c.handleLeaseScoped))
-	c.mux.HandleFunc("POST /v1/leases", c.shedLease(c.handleLeaseGlobal))
-	c.mux.HandleFunc("POST /v1/leases/{lease}/renew", c.handleRenewV1)
-	c.mux.HandleFunc("POST /v1/leases/{lease}/result", c.handleResultV1)
-	// Legacy single-sweep shim, kept for one release: routed to the
-	// default (first-submitted) job.
-	c.mux.HandleFunc("POST /lease", c.shedLease(c.handleLeaseLegacy))
-	c.mux.HandleFunc("POST /renew", c.handleRenewLegacy)
-	c.mux.HandleFunc("POST /submit", c.handleSubmitLegacy)
+	lease := c.shedLease(c.handleLease)
+	c.mux.HandleFunc("POST /v1/sweeps/{id}/leases", lease)
+	c.mux.HandleFunc("POST /v1/leases", lease)
+	c.mux.HandleFunc("POST /v1/leases/{lease}/renew", c.handleRenew)
+	c.mux.HandleFunc("POST /v1/leases/{lease}/result", c.handleResult)
 	c.mux.HandleFunc("GET /status", c.handleStatus)
 	c.mux.HandleFunc("GET /metrics", handleMetrics)
 	return c
@@ -247,17 +243,6 @@ func (c *Coordinator) shedLease(h http.HandlerFunc) http.HandlerFunc {
 func handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.PromContentType)
 	obs.Default().WriteProm(w)
-}
-
-// Plan returns the default job's plan (the batch sweep for a sealed
-// coordinator); the zero Plan if the queue is empty.
-func (c *Coordinator) Plan() Plan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.order) == 0 {
-		return Plan{}
-	}
-	return c.order[0].plan
 }
 
 // ServeHTTP implements http.Handler.
@@ -568,94 +553,42 @@ func (c *Coordinator) jobStatusLocked(j *job, withShards bool) JobStatus {
 	return js
 }
 
-// handleLeaseLegacy is the pre-/v1 lease route: scoped to the default
-// job, and never answering the post-/v1 idle status (a legacy worker
-// only understands lease/wait/done).
-func (c *Coordinator) handleLeaseLegacy(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeLeaseRequest(w, r)
-	if !ok {
-		return
-	}
-	resp, herr := c.leaseLocked(req, "", true)
-	if herr != nil {
-		http.Error(w, herr.msg, herr.code)
-		return
-	}
-	writeJSON(w, resp)
-}
-
-// handleLeaseGlobal is POST /v1/leases: job-agnostic work pull, granted
-// fair-share round-robin across every active job.
-func (c *Coordinator) handleLeaseGlobal(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeLeaseRequest(w, r)
-	if !ok {
-		return
-	}
-	resp, herr := c.leaseLocked(req, "", false)
-	if herr != nil {
-		http.Error(w, herr.msg, herr.code)
-		return
-	}
-	writeJSON(w, resp)
-}
-
-// handleLeaseScoped is POST /v1/sweeps/{id}/leases: work pull restricted
-// to one job.
-func (c *Coordinator) handleLeaseScoped(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeLeaseRequest(w, r)
-	if !ok {
-		return
-	}
-	resp, herr := c.leaseLocked(req, r.PathValue("id"), false)
-	if herr != nil {
-		http.Error(w, herr.msg, herr.code)
-		return
-	}
-	writeJSON(w, resp)
-}
-
-func decodeLeaseRequest(w http.ResponseWriter, r *http.Request) (LeaseRequest, bool) {
+// handleLease is the work pull: POST /v1/sweeps/{id}/leases restricts
+// the grant to one job, POST /v1/leases (where the id path value is "")
+// grants fair-share round-robin across every active job.
+func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(w, fmt.Sprintf("dist: decode lease request: %v", err), http.StatusBadRequest)
-		return req, false
+		return
 	}
 	if req.Protocol != ProtocolVersion {
 		http.Error(w, fmt.Sprintf("dist: protocol version %d, want %d", req.Protocol, ProtocolVersion),
 			http.StatusBadRequest)
-		return req, false
+		return
 	}
-	return req, true
+	resp, herr := c.leaseLocked(req, r.PathValue("id"))
+	if herr != nil {
+		http.Error(w, herr.msg, herr.code)
+		return
+	}
+	writeJSON(w, resp)
 }
 
 // leaseLocked is the lease state transition; it returns the response to
 // send after the lock is released — a stalled client connection must
 // never block the other endpoints (a blocked /renew would expire healthy
-// leases). jobScope restricts the grant to one job ID; legacy scopes to
-// the default job and suppresses StatusIdle.
-func (c *Coordinator) leaseLocked(req LeaseRequest, jobScope string, legacy bool) (LeaseResponse, *httpErr) {
+// leases). A non-empty jobScope restricts the grant to that job ID.
+func (c *Coordinator) leaseLocked(req LeaseRequest, jobScope string) (LeaseResponse, *httpErr) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sawWorkerLocked(req.Worker, req.Parallel)
 
-	// Resolve the candidate job list.
-	var scope *job
 	if jobScope != "" {
-		j, ok := c.jobs[jobScope]
+		scope, ok := c.jobs[jobScope]
 		if !ok {
 			return LeaseResponse{}, &httpErr{http.StatusNotFound, fmt.Sprintf("dist: unknown sweep %q", jobScope)}
 		}
-		scope = j
-	} else if legacy {
-		if len(c.order) == 0 {
-			// No default job yet: a legacy worker against an empty
-			// service polls until one is submitted.
-			return LeaseResponse{Protocol: ProtocolVersion, Status: StatusWait}, nil
-		}
-		scope = c.order[0]
-	}
-
-	if scope != nil {
 		if scope.complete() {
 			// This worker now knows its job is over and will exit; once
 			// every known worker has heard a terminal answer the sealed
@@ -811,23 +744,9 @@ func (c *Coordinator) leaseResponseLocked(j *job, shard int, leaseID string) *Le
 	}
 }
 
-// handleRenewLegacy extends a live lease via the legacy query-param
-// route.
-func (c *Coordinator) handleRenewLegacy(w http.ResponseWriter, r *http.Request) {
-	c.renewCommon(w, r.URL.Query().Get("lease"), "dist: renew without lease ID")
-}
-
-// handleRenewV1 extends a live lease via POST /v1/leases/{lease}/renew.
-func (c *Coordinator) handleRenewV1(w http.ResponseWriter, r *http.Request) {
-	c.renewCommon(w, r.PathValue("lease"), "dist: renew without lease ID")
-}
-
-func (c *Coordinator) renewCommon(w http.ResponseWriter, leaseID, missingMsg string) {
-	if leaseID == "" {
-		http.Error(w, missingMsg, http.StatusBadRequest)
-		return
-	}
-	rr, herr := c.renewLocked(leaseID)
+// handleRenew extends a live lease via POST /v1/leases/{lease}/renew.
+func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
+	rr, herr := c.renewLocked(r.PathValue("lease"))
 	if herr != nil {
 		http.Error(w, herr.msg, herr.code)
 		return
@@ -868,29 +787,14 @@ func (c *Coordinator) renewLocked(leaseID string) (RenewResponse, *httpErr) {
 	return RenewResponse{Renewed: true, TTLMs: c.leaseTTL.Milliseconds()}, nil
 }
 
-// handleSubmitLegacy stores one shard envelope via the legacy
-// query-param route.
-func (c *Coordinator) handleSubmitLegacy(w http.ResponseWriter, r *http.Request) {
-	c.submitCommon(w, r, r.URL.Query().Get("lease"))
-}
-
-// handleResultV1 stores one shard envelope via POST
-// /v1/leases/{lease}/result.
-func (c *Coordinator) handleResultV1(w http.ResponseWriter, r *http.Request) {
-	c.submitCommon(w, r, r.PathValue("lease"))
-}
-
-// submitCommon validates and stores one shard envelope. Submissions
-// under an expired lease are accepted as long as the shard is still open
-// — sweeps are deterministic, so a straggler's envelope is
-// byte-identical to the re-leased worker's — and submissions for an
-// already-completed shard are acknowledged idempotently and discarded.
-func (c *Coordinator) submitCommon(w http.ResponseWriter, r *http.Request, leaseID string) {
-	if leaseID == "" {
-		c.rejectSubmit("no_lease", "dist: submit without lease ID")
-		http.Error(w, "dist: submit without lease ID", http.StatusBadRequest)
-		return
-	}
+// handleResult validates and stores one shard envelope via POST
+// /v1/leases/{lease}/result. Submissions under an expired lease are
+// accepted as long as the shard is still open — sweeps are
+// deterministic, so a straggler's envelope is byte-identical to the
+// re-leased worker's — and submissions for an already-completed shard
+// are acknowledged idempotently and discarded.
+func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
+	leaseID := r.PathValue("lease")
 	sr, err := scenario.ReadShardResult(r.Body)
 	if err != nil {
 		c.rejectSubmit("decode", err.Error())
@@ -1002,8 +906,8 @@ func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult, exe
 	return SubmitResponse{Accepted: true, Done: complete}, nil
 }
 
-// handleStatus reports progress: the whole queue under Jobs, plus flat
-// default-job fields mirroring the pre-/v1 response shape.
+// handleStatus reports progress: the whole queue under Jobs, plus the
+// worker fleet.
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, c.statusLocked())
 }
@@ -1020,17 +924,6 @@ func (c *Coordinator) statusLocked() StatusResponse {
 	}
 	for _, j := range c.order {
 		st.Jobs = append(st.Jobs, c.jobStatusLocked(j, true))
-	}
-	if len(st.Jobs) > 0 {
-		d := st.Jobs[0]
-		st.Spec = d.Spec
-		st.Fingerprint = d.Fingerprint
-		st.Shards = d.Shards
-		st.Done = d.Done
-		st.Leased = d.Leased
-		st.Pending = d.Pending
-		st.Progress = d.Progress
-		st.ShardStates = d.ShardStates
 	}
 	now := c.now()
 	st.WorkerStates = make([]WorkerStatus, 0, len(c.workers))
@@ -1072,14 +965,7 @@ func (c *Coordinator) Jobs() []JobStatus {
 	return jobs
 }
 
-// Wait blocks until the default job's every shard has been submitted or
-// the context ends.
-func (c *Coordinator) Wait(ctx context.Context) error {
-	return c.WaitJob(ctx, "")
-}
-
-// WaitJob blocks until the named job (default job when id is "") is
-// complete or the context ends.
+// WaitJob blocks until the named job is complete or the context ends.
 func (c *Coordinator) WaitJob(ctx context.Context, id string) error {
 	j, err := c.jobByID(id)
 	if err != nil {
@@ -1093,16 +979,10 @@ func (c *Coordinator) WaitJob(ctx context.Context, id string) error {
 	}
 }
 
-// jobByID resolves a job, "" meaning the default (first-submitted) one.
+// jobByID resolves a job by ID.
 func (c *Coordinator) jobByID(id string) (*job, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if id == "" {
-		if len(c.order) == 0 {
-			return nil, fmt.Errorf("dist: no jobs queued")
-		}
-		return c.order[0], nil
-	}
 	j, ok := c.jobs[id]
 	if !ok {
 		return nil, fmt.Errorf("dist: unknown sweep %q", id)
@@ -1124,15 +1004,9 @@ func (c *Coordinator) WaitDrained(ctx context.Context) error {
 	}
 }
 
-// Merged reassembles the default job's collected envelopes into the
+// JobMerged reassembles the named job's collected envelopes into the
 // unsharded sweep's stats stream and summary; it errors if any shard is
 // still missing.
-func (c *Coordinator) Merged() ([]*scenario.Stats, *scenario.Summary, error) {
-	return c.JobMerged("")
-}
-
-// JobMerged reassembles the named job's (default job when id is "")
-// collected envelopes.
 func (c *Coordinator) JobMerged(id string) ([]*scenario.Stats, *scenario.Summary, error) {
 	j, err := c.jobByID(id)
 	if err != nil {
@@ -1160,68 +1034,54 @@ func (c *Coordinator) Workers() int {
 	return len(c.workers)
 }
 
-// Submitters returns how many distinct workers had an envelope accepted
-// for the default job and the sum of their reported trial-pool sizes
-// (each clamped to at least 1, so the total is usable as a bench
-// artifact's effective parallelism). Unlike Workers, this counts only
-// the fleet that actually produced the sweep.
-func (c *Coordinator) Submitters() (count, totalParallel int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.order) == 0 {
-		return 0, 0
-	}
-	for _, p := range c.order[0].submitters {
-		if p < 1 {
-			p = 1
-		}
-		totalParallel += p
-	}
-	return len(c.order[0].submitters), totalParallel
+// JobAccounting is one job's fleet accounting — what a throughput
+// artifact for the job needs, and whether it would be honest.
+type JobAccounting struct {
+	// Submitters counts the distinct workers that had an envelope
+	// accepted; Parallel sums their reported trial-pool sizes (each
+	// clamped to at least 1, so the total is usable as the artifact's
+	// effective parallelism). Unlike Workers, this counts only the fleet
+	// that actually produced the sweep.
+	Submitters, Parallel int
+	// Executed is the total executed-trial count (as opposed to trials
+	// served from a shared cache). ExecutedKnown is false when any worker
+	// omitted the count or the job resumed shards from disk, in which
+	// case the total is a lower bound and throughput artifacts should not
+	// be written from it.
+	Executed      int64
+	ExecutedKnown bool
+	// Mallocs is the heap-allocation delta summed over each shard's
+	// executing worker, one submission per shard; MallocsKnown is false
+	// when any accepted submission omitted it.
+	Mallocs      int64
+	MallocsKnown bool
+	// Elapsed is the job's compute span on the coordinator's clock: from
+	// its first lease grant to its last accepted submit, so time spent
+	// waiting for the first worker to connect is excluded. It is 0 until
+	// the job has both a grant and an accepted submit.
+	Elapsed time.Duration
 }
 
-// ExecutedTrials returns the default job's total executed-trial count
-// and whether every accepted submission reported one. known is false
-// when any worker omitted the count (an older or foreign client) or the
-// job resumed shards from disk, in which case the total is a lower bound
-// and throughput artifacts should not be written from it.
-func (c *Coordinator) ExecutedTrials() (total int64, known bool) {
+// Accounting returns the named job's fleet accounting.
+func (c *Coordinator) Accounting(id string) (JobAccounting, error) {
+	j, err := c.jobByID(id)
+	if err != nil {
+		return JobAccounting{}, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.order) == 0 {
-		return 0, false
+	a := JobAccounting{
+		Submitters:    len(j.submitters),
+		Executed:      j.executed,
+		ExecutedKnown: j.execKnown,
+		Mallocs:       j.mallocs,
+		MallocsKnown:  j.mallocsKnown,
 	}
-	return c.order[0].executed, c.order[0].execKnown
-}
-
-// Elapsed returns the default job's compute span on the coordinator's
-// clock: from its first lease grant to its last accepted submit. Time
-// spent waiting for the first worker to connect is excluded, so the span
-// is what a throughput artifact should divide by. It is 0 until the job
-// has both a grant and an accepted submit.
-func (c *Coordinator) Elapsed() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.order) == 0 {
-		return 0
+	for _, p := range j.submitters {
+		a.Parallel += max(p, 1)
 	}
-	j := c.order[0]
-	if j.firstGrant.IsZero() || j.lastAccept.IsZero() {
-		return 0
+	if !j.firstGrant.IsZero() && !j.lastAccept.IsZero() {
+		a.Elapsed = j.lastAccept.Sub(j.firstGrant)
 	}
-	return j.lastAccept.Sub(j.firstGrant)
-}
-
-// Mallocs returns the default job's total heap-allocation delta (summed
-// over each shard's executing worker, one submission per shard) and
-// whether every accepted submission reported one. Fleet bench artifacts
-// use it so distributed runs carry real allocation counts instead of
-// zeros.
-func (c *Coordinator) Mallocs() (total int64, known bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.order) == 0 {
-		return 0, false
-	}
-	return c.order[0].mallocs, c.order[0].mallocsKnown
+	return a, nil
 }

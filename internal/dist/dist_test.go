@@ -84,23 +84,42 @@ func marshalReport(t *testing.T, stats []*scenario.Stats, sum *scenario.Summary)
 	return string(b)
 }
 
-func mergedReport(t *testing.T, coord *Coordinator) string {
+func mergedReport(t *testing.T, coord *Coordinator, plan Plan) string {
 	t.Helper()
-	stats, sum, err := coord.Merged()
+	stats, sum, err := coord.JobMerged(JobID(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return marshalReport(t, stats, sum)
 }
 
-// postLease sends one raw lease request through the loopback client.
+// waitJob blocks until the plan's job is complete.
+func waitJob(t *testing.T, ctx context.Context, coord *Coordinator, plan Plan) {
+	t.Helper()
+	if err := coord.WaitJob(ctx, JobID(plan)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// accounting fetches the plan's job accounting.
+func accounting(t *testing.T, coord *Coordinator, plan Plan) JobAccounting {
+	t.Helper()
+	a, err := coord.Accounting(JobID(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// postLease sends one raw fair-share lease request through the loopback
+// client.
 func postLease(t *testing.T, client *http.Client, req LeaseRequest) (*LeaseResponse, *http.Response) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := client.Post("http://coordinator/lease", "application/json", bytes.NewReader(body))
+	resp, err := client.Post("http://coordinator/v1/leases", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +173,7 @@ func TestDistributedByteIdentical(t *testing.T) {
 	if done[0]+done[1] != 3 {
 		t.Fatalf("workers completed %d+%d shards, want 3 total", done[0], done[1])
 	}
-	if err := coord.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	waitJob(t, context.Background(), coord, plan)
 	// Both workers exited through StatusDone, so the coordinator is
 	// already drained: safe to tear the listener down.
 	drainCtx, cancel := context.WithTimeout(context.Background(), time.Second)
@@ -164,7 +181,7 @@ func TestDistributedByteIdentical(t *testing.T) {
 	if err := coord.WaitDrained(drainCtx); err != nil {
 		t.Fatalf("workers exited but coordinator not drained: %v", err)
 	}
-	if got, want := mergedReport(t, coord), serialReport(t, plan); got != want {
+	if got, want := mergedReport(t, coord, plan), serialReport(t, plan); got != want {
 		t.Fatal("distributed merged report differs from fresh serial run")
 	}
 	if n := coord.Workers(); n != 2 {
@@ -172,8 +189,8 @@ func TestDistributedByteIdentical(t *testing.T) {
 	}
 	// Fresh run: the fleet reported executing every trial (default spec:
 	// 288 scenarios x 2 seeds), so a throughput artifact would be honest.
-	if executed, known := coord.ExecutedTrials(); !known || executed != 576 {
-		t.Fatalf("fleet executed-trial accounting = (%d, %v), want (576, true)", executed, known)
+	if a := accounting(t, coord, plan); !a.ExecutedKnown || a.Executed != 576 {
+		t.Fatalf("fleet executed-trial accounting = (%d, %v), want (576, true)", a.Executed, a.ExecutedKnown)
 	}
 }
 
@@ -229,7 +246,7 @@ func TestCrashedWorkerReLease(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("healthy worker completed %d shards after re-lease, want 1", n)
 	}
-	if got, want := mergedReport(t, coord), serialReport(t, plan); got != want {
+	if got, want := mergedReport(t, coord, plan), serialReport(t, plan); got != want {
 		t.Fatal("merged report after crash/re-lease differs from fresh serial run")
 	}
 
@@ -242,12 +259,12 @@ func TestCrashedWorkerReLease(t *testing.T) {
 	if err := w.submit(context.Background(), dead.LeaseID, sr, 1, time.Millisecond); err != nil {
 		t.Fatalf("straggler submit under expired lease rejected: %v", err)
 	}
-	if got, want := mergedReport(t, coord), serialReport(t, plan); got != want {
+	if got, want := mergedReport(t, coord, plan), serialReport(t, plan); got != want {
 		t.Fatal("straggler resubmission changed the merged report")
 	}
 	// Only the worker whose envelopes were accepted counts as a
 	// submitter — the doomed worker polled but produced nothing.
-	if n, _ := coord.Submitters(); n != 1 {
+	if n := accounting(t, coord, plan).Submitters; n != 1 {
 		t.Fatalf("coordinator counted %d submitters, want 1 (the healthy worker)", n)
 	}
 	if n := coord.Workers(); n != 2 {
@@ -277,9 +294,7 @@ func TestStragglerSubmitBeforeReLease(t *testing.T) {
 	if err := w.submit(context.Background(), lease.LeaseID, sr, 1, time.Millisecond); err != nil {
 		t.Fatalf("submit under expired-but-unreclaimed lease rejected: %v", err)
 	}
-	if err := coord.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	waitJob(t, context.Background(), coord, plan)
 }
 
 // TestElapsedExcludesIdleBeforeFirstLease: the sweep's compute span runs
@@ -296,7 +311,7 @@ func TestElapsedExcludesIdleBeforeFirstLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.Advance(time.Hour) // the fleet has not connected yet
-	if got := coord.Elapsed(); got != 0 {
+	if got := accounting(t, coord, plan).Elapsed; got != 0 {
 		t.Fatalf("Elapsed before any lease = %v, want 0", got)
 	}
 	client := LoopbackClient(coord)
@@ -315,11 +330,9 @@ func TestElapsedExcludesIdleBeforeFirstLease(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := coord.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	waitJob(t, context.Background(), coord, plan)
 	clock.Advance(time.Minute) // draining and merging are not the sweep
-	if got := coord.Elapsed(); got != 5*time.Second {
+	if got := accounting(t, coord, plan).Elapsed; got != 5*time.Second {
 		t.Fatalf("Elapsed = %v, want 5s (first grant to last accept)", got)
 	}
 }
@@ -327,7 +340,7 @@ func TestElapsedExcludesIdleBeforeFirstLease(t *testing.T) {
 // postRenew sends one raw renew request through the loopback client.
 func postRenew(t *testing.T, client *http.Client, leaseID string) (*RenewResponse, *http.Response) {
 	t.Helper()
-	resp, err := client.Post("http://coordinator/renew?lease="+leaseID, "application/json", nil)
+	resp, err := client.Post("http://coordinator/v1/leases/"+leaseID+"/renew", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +436,7 @@ func TestSampledPlanDistributes(t *testing.T) {
 	if _, err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := mergedReport(t, coord), serialReport(t, plan); got != want {
+	if got, want := mergedReport(t, coord, plan), serialReport(t, plan); got != want {
 		t.Fatal("distributed sampled sweep differs from serial sampled run")
 	}
 }
@@ -439,8 +452,8 @@ func TestSharedCacheAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := builtinPlan(t, "quick", 2)
 	run := func() (*Coordinator, string) {
-		plan := builtinPlan(t, "quick", 2)
 		coord, err := NewCoordinator(plan, CoordinatorConfig{})
 		if err != nil {
 			t.Fatal(err)
@@ -455,7 +468,7 @@ func TestSharedCacheAcrossWorkers(t *testing.T) {
 	}
 	cold, coldLog := run()
 	warm, warmLog := run()
-	if got, want := mergedReport(t, warm), mergedReport(t, cold); got != want {
+	if got, want := mergedReport(t, warm, plan), mergedReport(t, cold, plan); got != want {
 		t.Fatal("warm-cache distributed run differs from cold run")
 	}
 	// The quick spec is 12 scenarios over 2 shards: the cold run executes
@@ -471,11 +484,11 @@ func TestSharedCacheAcrossWorkers(t *testing.T) {
 	// The coordinator's fleet accounting sees the same split, which is
 	// what gates honest -bench artifacts: cold executed everything, warm
 	// executed nothing.
-	if executed, known := cold.ExecutedTrials(); !known || executed != 12 {
-		t.Fatalf("cold fleet accounting = (%d, %v), want (12, true)", executed, known)
+	if a := accounting(t, cold, plan); !a.ExecutedKnown || a.Executed != 12 {
+		t.Fatalf("cold fleet accounting = (%d, %v), want (12, true)", a.Executed, a.ExecutedKnown)
 	}
-	if executed, known := warm.ExecutedTrials(); !known || executed != 0 {
-		t.Fatalf("warm fleet accounting = (%d, %v), want (0, true)", executed, known)
+	if a := accounting(t, warm, plan); !a.ExecutedKnown || a.Executed != 0 {
+		t.Fatalf("warm fleet accounting = (%d, %v), want (0, true)", a.Executed, a.ExecutedKnown)
 	}
 }
 
@@ -504,7 +517,7 @@ func TestSubmitValidation(t *testing.T) {
 		if err := sr.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := client.Post("http://coordinator/submit?lease="+leaseID, "application/json", &buf)
+		resp, err := client.Post("http://coordinator/v1/leases/"+leaseID+"/result", "application/json", &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -589,12 +602,12 @@ func TestStatusEndpoint(t *testing.T) {
 		return st
 	}
 
-	if st := status(); st.Pending != 2 || st.Done != 0 || st.Complete {
+	if st := status(); st.Jobs[0].Pending != 2 || st.Jobs[0].Done != 0 || st.Complete {
 		t.Fatalf("initial status %+v", st)
 	}
 	w := &Worker{Coordinator: "http://coordinator", Client: client, Poll: time.Millisecond}
 	lease, _ := postLease(t, client, LeaseRequest{Protocol: ProtocolVersion, Worker: "w"})
-	if st := status(); st.Pending != 1 || st.Leased != 1 || st.Workers != 1 {
+	if st := status(); st.Jobs[0].Pending != 1 || st.Jobs[0].Leased != 1 || st.Workers != 1 {
 		t.Fatalf("status after lease %+v", st)
 	}
 	sr, err := w.runShard(lease)
@@ -604,13 +617,13 @@ func TestStatusEndpoint(t *testing.T) {
 	if err := w.submit(context.Background(), lease.LeaseID, sr, 1, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if st := status(); st.Done != 1 || st.Complete {
+	if st := status(); st.Jobs[0].Done != 1 || st.Complete {
 		t.Fatalf("status after one submit %+v", st)
 	}
 	if _, err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if st := status(); st.Done != 2 || !st.Complete {
+	if st := status(); st.Jobs[0].Done != 2 || !st.Complete {
 		t.Fatalf("final status %+v", st)
 	}
 }
@@ -620,11 +633,12 @@ func TestStatusEndpoint(t *testing.T) {
 func TestMergedRefusesIncomplete(t *testing.T) {
 	t.Parallel()
 
-	coord, err := NewCoordinator(builtinPlan(t, "quick", 3), CoordinatorConfig{})
+	plan := builtinPlan(t, "quick", 3)
+	coord, err := NewCoordinator(plan, CoordinatorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := coord.Merged(); err == nil || !strings.Contains(err.Error(), "3 of 3") {
+	if _, _, err := coord.JobMerged(JobID(plan)); err == nil || !strings.Contains(err.Error(), "3 of 3") {
 		t.Fatalf("incomplete merge: %v", err)
 	}
 }

@@ -26,11 +26,7 @@
 //	                                   (framing, fingerprint, shard
 //	                                   coordinates) before acceptance
 //	GET  /status                       progress accounting for humans and
-//	                                   scripts (whole queue + flat
-//	                                   default-job mirror)
-//
-// The pre-/v1 routes — POST /lease, /renew, /submit — remain as a compat
-// shim for one release, routed to the default (first-submitted) job.
+//	                                   scripts (whole queue + workers)
 //
 // Leases are granted fair-share: the coordinator round-robins across
 // active jobs (lowest open shard within a job), so one tenant's

@@ -65,8 +65,8 @@ func TestMetricsAcrossWorkerCrash(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := getStatus(t, client); st.Progress <= 0.6 || st.Progress >= 0.7 {
-		t.Fatalf("mid-sweep progress = %v, want 2/3", st.Progress)
+	if st := getStatus(t, client); st.Jobs[0].Progress <= 0.6 || st.Jobs[0].Progress >= 0.7 {
+		t.Fatalf("mid-sweep progress = %v, want 2/3", st.Jobs[0].Progress)
 	}
 
 	// Past the TTL the crashed shard is re-issued and the healthy worker
@@ -90,7 +90,7 @@ func TestMetricsAcrossWorkerCrash(t *testing.T) {
 	if err := sr.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := client.Post("http://coordinator/submit?lease=lease-999", "application/json", &buf)
+	resp, err := client.Post("http://coordinator/v1/leases/lease-999/result", "application/json", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +125,10 @@ func TestMetricsAcrossWorkerCrash(t *testing.T) {
 	// /status: progress reached 100%, every shard done, both workers
 	// accounted with their submit counts.
 	st := getStatus(t, client)
-	if st.Progress != 1 || !st.Complete || st.Done != 3 {
+	if js := st.Jobs[0]; js.Progress != 1 || !st.Complete || js.Done != 3 {
 		t.Fatalf("final status = %+v, want progress 1 / complete / 3 done", st)
 	}
-	for _, ss := range st.ShardStates {
+	for _, ss := range st.Jobs[0].ShardStates {
 		if ss.State != "done" {
 			t.Errorf("shard %s state %q, want done", ss.Shard, ss.State)
 		}

@@ -96,8 +96,7 @@ const (
 	StatusDone = "done"
 	// StatusIdle means every job in the queue is complete but the queue
 	// is still accepting submissions (service mode): a worker may poll on
-	// or exit, its choice. The legacy /lease route never answers idle —
-	// it maps to wait for pre-/v1 workers.
+	// or exit, its choice.
 	StatusIdle = "idle"
 )
 
@@ -114,9 +113,8 @@ type LeaseResponse struct {
 	Protocol int    `json:"protocol"`
 	Status   string `json:"status"`
 	LeaseID  string `json:"leaseID,omitempty"`
-	// Job names the job the lease belongs to (StatusLease only). Legacy
-	// clients ignore the field; /v1 clients use it for accounting and
-	// event streams.
+	// Job names the job the lease belongs to (StatusLease only), for
+	// accounting and event streams.
 	Job   string         `json:"job,omitempty"`
 	Shard scenario.Shard `json:"shard"`
 	Plan  *Plan          `json:"plan,omitempty"`
@@ -188,35 +186,20 @@ type JobStatus struct {
 	ShardStates []ShardStatus `json:"shardStates,omitempty"`
 }
 
-// StatusResponse is the coordinator's progress accounting. Jobs carries
-// the whole queue; the flat single-sweep fields mirror the default
-// (first-submitted) job so pre-/v1 scripts keep reading the same shape
-// they always did.
+// StatusResponse is the coordinator's progress accounting: the whole
+// queue under Jobs, plus the worker fleet.
 type StatusResponse struct {
-	Protocol    int    `json:"protocol"`
-	Spec        string `json:"spec"`
-	Fingerprint string `json:"fingerprint"`
-	Shards      int    `json:"shards"`
-	Done        int    `json:"done"`
-	Leased      int    `json:"leased"`
-	Pending     int    `json:"pending"`
-	Workers     int    `json:"workers"`
+	Protocol int `json:"protocol"`
+	Workers  int `json:"workers"`
 	// Complete reports whether every job in the queue is complete (and at
-	// least one exists) — for a batch coordinator, exactly the old
-	// single-sweep meaning.
+	// least one exists).
 	Complete bool `json:"complete"`
 	// Sealed reports batch mode: the queue accepts no further jobs and
 	// workers are told done (not idle) once everything is complete.
 	Sealed bool `json:"sealed"`
-
-	// Progress is Done/Shards in [0,1] for the default job.
-	Progress float64 `json:"progress"`
 	// Jobs holds one entry per job in submission order, each with its
 	// shard states.
 	Jobs []JobStatus `json:"jobs"`
-	// ShardStates holds one entry per default-job shard, in shard-index
-	// order.
-	ShardStates []ShardStatus `json:"shardStates,omitempty"`
 	// WorkerStates holds one entry per known worker, sorted by ID.
 	WorkerStates []WorkerStatus `json:"workerStates,omitempty"`
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strconv"
 	"sync"
 	"testing"
@@ -82,12 +83,12 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	if got := trialCounter.Value() - trials0; got != 8 {
 		t.Fatalf("engine started %d trials after restart, want 8 (resumed shard re-executed?)", got)
 	}
-	if got, want := mergedReport(t, coord2), serialReport(t, plan); got != want {
+	if got, want := mergedReport(t, coord2, plan), serialReport(t, plan); got != want {
 		t.Fatal("resumed merged report differs from fresh serial run")
 	}
 	// Resumed shards carry no executed accounting, so the fleet total is
 	// honest-unknown rather than an undercount.
-	if _, known := coord2.ExecutedTrials(); known {
+	if accounting(t, coord2, plan).ExecutedKnown {
 		t.Fatal("executed-trial accounting claims known after a resume")
 	}
 }
@@ -369,6 +370,35 @@ func TestSubmitSweepIdempotent(t *testing.T) {
 	if !third.Created || third.Job.ID == first.Job.ID {
 		t.Fatalf("3-shard resubmission not a new job: %+v", third)
 	}
+	js, err := api.Sweep(ctx, first.Job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js.ID != first.Job.ID || len(js.ShardStates) != 2 {
+		t.Fatalf("GET /v1/sweeps/{id} = %+v, want job %s with 2 shard states", js, first.Job.ID)
+	}
+	if _, err := api.Sweep(ctx, "sw-nope-1"); err == nil {
+		t.Fatal("unknown sweep ID did not 404")
+	}
+
+	// A sealed batch coordinator refuses new sweeps but answers the
+	// existing one idempotently.
+	plan := builtinPlan(t, "quick", 2)
+	sealed, err := NewCoordinator(plan, CoordinatorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealedAPI := loopbackAPI(sealed)
+	if _, err := sealedAPI.CreateSweep(ctx, SweepRequest{Spec: quickSpec(t), Shards: 5}); err == nil {
+		t.Fatal("sealed coordinator admitted a new sweep")
+	}
+	same, err := sealedAPI.CreateSweep(ctx, SweepRequest{Spec: quickSpec(t), Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same.Created || same.Job.ID != JobID(plan) {
+		t.Fatalf("sealed idempotent resubmission = %+v", same)
+	}
 }
 
 // TestAutoShards pins the -shards auto sizing: a few shards per known
@@ -416,102 +446,47 @@ func TestAutoShards(t *testing.T) {
 	}
 }
 
-// TestLegacyAndV1Surfaces pins both wire surfaces against one
-// coordinator: the legacy query-param routes and the /v1 resource
-// routes interoperate on the same job, shard by shard.
-func TestLegacyAndV1Surfaces(t *testing.T) {
+// TestUnversionedRoutesNotServed: work moves only over the /v1 routes.
+// POST /lease, /renew and /submit are answered non-2xx even for a live
+// lease and a valid envelope, and leave the job untouched.
+func TestUnversionedRoutesNotServed(t *testing.T) {
 	t.Parallel()
 
-	plan := builtinPlan(t, "quick", 2)
+	plan := builtinPlan(t, "quick", 1)
 	coord, err := NewCoordinator(plan, CoordinatorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	client := LoopbackClient(coord)
-	api := loopbackAPI(coord)
-	ctx := context.Background()
 	w := &Worker{Coordinator: "http://coordinator", Client: client, Poll: time.Millisecond}
-
-	// Shard 1 over the legacy surface.
-	legacyLease, _ := postLease(t, client, LeaseRequest{Protocol: ProtocolVersion, Worker: "legacy"})
-	if legacyLease.Status != StatusLease || legacyLease.Shard.Index != 1 {
-		t.Fatalf("legacy lease %+v, want shard 1/2", legacyLease)
-	}
-	if rr, _ := postRenew(t, client, legacyLease.LeaseID); rr == nil || !rr.Renewed {
-		t.Fatalf("legacy renew refused: %+v", rr)
-	}
-
-	// Shard 2 over /v1.
-	v1Lease, err := api.Lease(ctx, "", LeaseRequest{Worker: "modern"})
+	lease, _ := postLease(t, client, LeaseRequest{Protocol: ProtocolVersion, Worker: "w"})
+	sr, err := w.runShard(lease)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1Lease.Status != StatusLease || v1Lease.Shard.Index != 2 || v1Lease.Job != JobID(plan) {
-		t.Fatalf("v1 lease %+v, want shard 2/2 of job %s", v1Lease, JobID(plan))
+	var envelope bytes.Buffer
+	if err := sr.Write(&envelope); err != nil {
+		t.Fatal(err)
 	}
-	if rr, err := api.Renew(ctx, v1Lease.LeaseID); err != nil || !rr.Renewed {
-		t.Fatalf("v1 renew = (%+v, %v), want renewed", rr, err)
-	}
-
-	// Legacy submit for shard 1 (the Worker helper's legacy path is
-	// gone, so post the envelope raw).
-	sr1, err := w.runShard(legacyLease)
+	leaseReq, err := json.Marshal(LeaseRequest{Protocol: ProtocolVersion, Worker: "w"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := sr1.Write(&buf); err != nil {
-		t.Fatal(err)
+	for path, body := range map[string][]byte{
+		"/lease":                         leaseReq,
+		"/renew?lease=" + lease.LeaseID:  nil,
+		"/submit?lease=" + lease.LeaseID: envelope.Bytes(),
+	} {
+		resp, err := client.Post("http://coordinator"+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode >= 200 && resp.StatusCode < 300 {
+			t.Errorf("POST %s answered %d, want non-2xx", path, resp.StatusCode)
+		}
 	}
-	resp, err := client.Post("http://coordinator/submit?lease="+legacyLease.LeaseID, "application/json", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("legacy submit answered %d", resp.StatusCode)
-	}
-
-	// v1 result for shard 2.
-	sr2, err := w.runShard(v1Lease)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ack, err := api.SubmitResult(ctx, v1Lease.LeaseID, sr2, int64(sr2.Summary.ExecutedTrials), sr2.Mallocs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ack.Accepted || !ack.Done {
-		t.Fatalf("v1 result ack %+v, want accepted and done", ack)
-	}
-
-	// Both surfaces agree the job is complete.
-	if st := getStatus(t, client); !st.Complete || len(st.Jobs) != 1 || !st.Jobs[0].Complete {
-		t.Fatalf("status after mixed-surface drain: %+v", st)
-	}
-	js, err := api.Sweep(ctx, JobID(plan))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !js.Complete || js.Done != 2 {
-		t.Fatalf("GET /v1/sweeps/{id} = %+v, want complete", js)
-	}
-	if _, err := api.Sweep(ctx, "sw-nope-1"); err == nil {
-		t.Fatal("unknown sweep ID did not 404")
-	}
-	if got, want := mergedReport(t, coord), serialReport(t, plan); got != want {
-		t.Fatal("mixed-surface merged report differs from fresh serial run")
-	}
-	// A sealed batch coordinator refuses new sweeps but answers the
-	// existing one idempotently.
-	if _, err := api.CreateSweep(ctx, SweepRequest{Spec: quickSpec(t), Shards: 5}); err == nil {
-		t.Fatal("sealed coordinator admitted a new sweep")
-	}
-	same, err := api.CreateSweep(ctx, SweepRequest{Spec: quickSpec(t), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same.Created || same.Job.ID != JobID(plan) {
-		t.Fatalf("sealed idempotent resubmission = %+v", same)
+	if js := coord.Jobs()[0]; js.Done != 0 || js.Leased != 1 {
+		t.Fatalf("job after unversioned calls = %+v, want the one /v1 lease and nothing done", js)
 	}
 }
