@@ -225,17 +225,42 @@ var _ Dialect = (*wordMap)(nil)
 func (d *wordMap) ID() int      { return d.id }
 func (d *wordMap) Name() string { return fmt.Sprintf("words#%d", d.id) }
 
+// mapTokens replaces every space-separated token of m that table maps,
+// byte-identically to splitting on " ", mapping and re-joining. It sizes
+// the result in a first pass and builds it in a second, so a translation
+// costs one allocation, and a message no token of which changes costs
+// none.
 func mapTokens(m comm.Message, table map[string]string) comm.Message {
-	if m.Empty() {
+	s := string(m)
+	if s == "" {
 		return m
 	}
-	tokens := strings.Split(string(m), " ")
-	for i, tok := range tokens {
-		if repl, ok := table[tok]; ok {
-			tokens[i] = repl
+	size, changed := len(s), false
+	for rest, more := s, true; more; {
+		var tok string
+		tok, rest, more = strings.Cut(rest, " ")
+		if repl, ok := table[tok]; ok && repl != tok {
+			size += len(repl) - len(tok)
+			changed = true
 		}
 	}
-	return comm.Message(strings.Join(tokens, " "))
+	if !changed {
+		return m
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for rest, more := s, true; more; {
+		var tok string
+		tok, rest, more = strings.Cut(rest, " ")
+		if repl, ok := table[tok]; ok {
+			tok = repl
+		}
+		b.WriteString(tok)
+		if more {
+			b.WriteByte(' ')
+		}
+	}
+	return comm.Message(b.String())
 }
 
 func (d *wordMap) Encode(m comm.Message) comm.Message { return mapTokens(m, d.forward) }

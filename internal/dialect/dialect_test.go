@@ -116,6 +116,38 @@ func TestWordFamilyPreservesPayload(t *testing.T) {
 	}
 }
 
+// TestWordEncodeMatchesSplitJoin pins the word dialects' translation to
+// the split/map/join reference byte for byte — empty tokens, leading and
+// trailing spaces included — and its cost: one allocation for a message
+// that changes, none for one that does not.
+func TestWordEncodeMatchesSplitJoin(t *testing.T) {
+	t.Parallel()
+
+	fam, err := NewWordFamily([]string{"PRINT", "STATUS", "ACK"}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := []comm.Message{
+		"", " ", "PRINT", "PRINT report7", "STATUS", "ACK ACK", " PRINT", "PRINT ",
+		"PRINT  doc", "w2_0 payload", "payload only", "PRINTX STATUS ACKS",
+	}
+	for i := 0; i < fam.Size(); i++ {
+		d := fam.Dialect(i).(*wordMap)
+		for _, m := range msgs {
+			if got, want := d.Encode(m), splitJoinEncode(d.forward, m); got != want {
+				t.Errorf("dialect %d: Encode(%q) = %q, reference %q", i, m, got, want)
+			}
+		}
+	}
+	d := fam.Dialect(2)
+	if n := testing.AllocsPerRun(100, func() { d.Encode("PRINT report7") }); n != 1 {
+		t.Errorf("translating a message allocates %.0f times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { d.Encode("payload only") }); n != 0 {
+		t.Errorf("an untouched message allocates %.0f times, want 0", n)
+	}
+}
+
 func TestFamilyIndexWraps(t *testing.T) {
 	t.Parallel()
 

@@ -327,6 +327,23 @@ func ParsePlant(m comm.Message) (pos, set int, ok bool) {
 	return p, s, true
 }
 
+// plant is decoded telemetry.
+//
+// Its consumers decode through a one-entry msgbuf.Memo1 keyed by the
+// message: the world re-sends one cached string while the plant is
+// still, so most rounds skip the parse, and decodePlant is pure, so a
+// hit returns exactly what a fresh parse would.
+type plant struct {
+	pos, set int
+	ok       bool
+}
+
+func decodePlant(m comm.Message) plant {
+	var p plant
+	p.pos, p.set, p.ok = ParsePlant(m)
+	return p
+}
+
 // Server is the actuator's native protocol: "MOVE <n>" applies a force of
 // n native units (clamped) and acknowledges "MOVED <n>". Wrap with
 // server.Dialected and a Units dialect to obtain a calibration-offset
@@ -370,11 +387,13 @@ type Candidate struct {
 	D dialect.Dialect
 
 	phase int
+	plant msgbuf.Memo1[comm.Message, plant]
 }
 
 var _ comm.Strategy = (*Candidate)(nil)
 
-// Reset implements comm.Strategy.
+// Reset implements comm.Strategy. The telemetry memo persists: decoding
+// is pure, so its entry stays correct across executions.
 func (c *Candidate) Reset(*xrand.Rand) { c.phase = 0 }
 
 // Step implements comm.Strategy.
@@ -383,11 +402,11 @@ func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) {
 	if c.phase%CycleRounds != 0 {
 		return comm.Outbox{}, nil
 	}
-	pos, set, ok := ParsePlant(in.FromWorld)
-	if !ok || pos == set {
+	p := c.plant.Do(in.FromWorld, decodePlant)
+	if !p.ok || p.pos == p.set {
 		return comm.Outbox{}, nil
 	}
-	d := clamp(set-pos, MaxForce)
+	d := clamp(p.set-p.pos, MaxForce)
 	return comm.Outbox{ToServer: c.D.Encode(moveMsg(d))}, nil
 }
 
@@ -414,6 +433,7 @@ type errorSense struct {
 	started  bool
 	best     int
 	idle     int
+	plant    msgbuf.Memo1[comm.Message, plant]
 }
 
 var _ sensing.Sense = (*errorSense)(nil)
@@ -425,11 +445,11 @@ func (s *errorSense) Reset() {
 }
 
 func (s *errorSense) Observe(rv comm.RoundView) bool {
-	pos, set, ok := ParsePlant(rv.In.FromWorld)
-	if !ok {
+	p := s.plant.Do(rv.In.FromWorld, decodePlant)
+	if !p.ok {
 		return true // no telemetry yet: grace
 	}
-	errAbs := pos - set
+	errAbs := p.pos - p.set
 	if errAbs < 0 {
 		errAbs = -errAbs
 	}

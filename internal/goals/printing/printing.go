@@ -262,6 +262,23 @@ func ParseWorldMsg(m comm.Message) (task, printed string, ok bool) {
 	return task, printed, true
 }
 
+// announcement is a decoded world message.
+//
+// Its consumers decode through a one-entry msgbuf.Memo1 keyed by the
+// message: the world re-sends one cached announcement until a new
+// document lands, so most rounds skip the parse, and decodeAnnouncement
+// is pure, so a hit returns exactly what a fresh parse would.
+type announcement struct {
+	task, printed string
+	ok            bool
+}
+
+func decodeAnnouncement(m comm.Message) announcement {
+	var a announcement
+	a.task, a.printed, a.ok = ParseWorldMsg(m)
+	return a
+}
+
 // Server is the printer's native protocol: on "PRINT <doc>" it emits the
 // document to the world and acknowledges to the user; on "STATUS" it
 // reports readiness. Wrap with server.Dialected to obtain the class of
@@ -362,11 +379,13 @@ type Candidate struct {
 	task    string
 	elapsed int
 	cmd     msgbuf.Memo1[string, comm.Message] // encoded "PRINT <task>", built once per task
+	world   msgbuf.Memo1[comm.Message, announcement]
 }
 
 var _ comm.Strategy = (*Candidate)(nil)
 
-// Reset implements comm.Strategy.
+// Reset implements comm.Strategy. Both memos persist: encoding and
+// decoding are pure, so their entries stay correct across executions.
 func (c *Candidate) Reset(*xrand.Rand) {
 	c.task = ""
 	c.elapsed = 0
@@ -374,8 +393,8 @@ func (c *Candidate) Reset(*xrand.Rand) {
 
 // Step implements comm.Strategy.
 func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) {
-	if task, _, ok := ParseWorldMsg(in.FromWorld); ok {
-		c.task = task
+	if a := c.world.Do(in.FromWorld, decodeAnnouncement); a.ok {
+		c.task = a.task
 	}
 	if c.task == "" {
 		return comm.Outbox{}, nil
@@ -416,10 +435,28 @@ func Sense(patience int) sensing.Sense {
 	if patience <= 0 {
 		patience = DefaultPatience
 	}
-	return sensing.Patience(sensing.New(func(rv comm.RoundView) bool {
-		task, printed, ok := ParseWorldMsg(rv.In.FromWorld)
-		return ok && task != "" && printed == task
-	}), patience)
+	return &printSense{patience: patience}
+}
+
+// printSense is Sense: sensing.Patience over the "task printed" predicate,
+// written out so the announcement memo lives in the sense itself.
+type printSense struct {
+	patience int
+	negRun   int
+	world    msgbuf.Memo1[comm.Message, announcement]
+}
+
+var _ sensing.Sense = (*printSense)(nil)
+
+func (s *printSense) Reset() { s.negRun = 0 }
+
+func (s *printSense) Observe(rv comm.RoundView) bool {
+	if a := s.world.Do(rv.In.FromWorld, decodeAnnouncement); a.ok && a.task != "" && a.printed == a.task {
+		s.negRun = 0
+		return true
+	}
+	s.negRun++
+	return s.negRun < s.patience
 }
 
 // TrustingSense is the deliberately unsafe sensing variant for the T4

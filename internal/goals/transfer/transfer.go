@@ -18,6 +18,7 @@ package transfer
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -44,12 +45,20 @@ func Vocabulary() []string { return []string{cmdStore, rspStored} }
 // progress a candidate survives. Noisy channels need larger values.
 const DefaultPatience = 8
 
-// dataCache precomputes chunk contents for the indices real payloads use
-// (K defaults to 8), so the world's per-arrival validation — which
-// compares each released chunk against Data(i) — allocates nothing.
-var dataCache = func() (a [64]string) {
-	for i := range a {
-		a[i] = "blob" + strconv.Itoa(i)
+// MaxK is the largest chunk count a transfer can carry: the world's
+// status reports the stored set as a 64-bit mask, so with more chunks the
+// user could never observe a complete transfer.
+const MaxK = 64
+
+// dataCache and storeCache precompute chunk contents and the plain
+// "STORE <i> blob<i>" commands for every index a payload can use, so the
+// world's per-arrival validation — which compares each released chunk
+// against Data(i) — and the candidates' command building allocate
+// nothing.
+var dataCache, storeCache = func() (data, store [MaxK]string) {
+	for i := range data {
+		data[i] = "blob" + strconv.Itoa(i)
+		store[i] = cmdStore + " " + strconv.Itoa(i) + " " + data[i]
 	}
 	return
 }()
@@ -62,8 +71,18 @@ func Data(i int) string {
 	return fmt.Sprintf("blob%d", i)
 }
 
+// storeMsg returns the plain "STORE <i> <data>" command for chunk i.
+func storeMsg(i int) comm.Message {
+	if i >= 0 && i < len(storeCache) {
+		return comm.Message(storeCache[i])
+	}
+	return comm.Message(cmdStore + " " + strconv.Itoa(i) + " " + Data(i))
+}
+
 // Goal is the compact transfer goal. K is the number of chunks (0 means
-// 8); the environment choice is trivial — the payload is canonical.
+// 8); the environment choice is trivial — the payload is canonical. K must
+// not exceed MaxK: the status mask carries only chunks below 64, so a
+// larger transfer never looks complete to its user or its sensing.
 type Goal struct {
 	K int
 }
@@ -246,6 +265,33 @@ func ParseStatus(m comm.Message) (k int, mask uint64, ok bool) {
 	return k, mask, true
 }
 
+// status is a decoded world status: the chunk count, the stored-chunk
+// mask and how many of the chunks below min(k, 64) the mask marks stored.
+//
+// Its consumers decode through a one-entry msgbuf.Memo1 keyed by the
+// message: the world re-sends one cached status between chunk arrivals,
+// so most rounds skip the parse, and decodeStatus is pure, so a hit
+// returns exactly what a fresh parse would.
+type status struct {
+	k      int
+	mask   uint64
+	stored int
+	ok     bool
+}
+
+func decodeStatus(m comm.Message) status {
+	var st status
+	st.k, st.mask, st.ok = ParseStatus(m)
+	if st.ok {
+		low := st.mask
+		if st.k < 64 {
+			low &= 1<<uint(st.k) - 1
+		}
+		st.stored = bits.OnesCount64(low)
+	}
+	return st
+}
+
 // Server is the storage relay's native protocol.
 //
 // Step is a pure function of the incoming command; the memo only spares
@@ -272,15 +318,15 @@ func (s *Server) Step(in comm.Inbox) (comm.Outbox, error) {
 	if out, ok := s.memo.Get(in.FromUser); ok {
 		return out, nil
 	}
-	fields := strings.SplitN(rest, " ", 2)
-	if len(fields) != 2 {
+	idx, _, found := strings.Cut(rest, " ")
+	if !found {
 		return comm.Outbox{}, nil
 	}
-	if _, err := strconv.Atoi(fields[0]); err != nil {
+	if _, err := strconv.Atoi(idx); err != nil {
 		return comm.Outbox{}, nil
 	}
 	out := comm.Outbox{
-		ToUser:  comm.Message(rspStored + " " + fields[0]),
+		ToUser:  comm.Message(rspStored + " " + idx),
 		ToWorld: comm.Message("REL " + rest),
 	}
 	s.memo.Put(in.FromUser, out)
@@ -293,15 +339,17 @@ type Candidate struct {
 	// D is the dialect this candidate speaks to the server.
 	D dialect.Dialect
 
-	k    int
-	mask uint64
-	next int
-	cmds []comm.Message // cached encoded "STORE <i> <data>" per chunk
+	k      int
+	mask   uint64
+	next   int
+	cmds   []comm.Message // cached encoded "STORE <i> <data>" per chunk
+	status msgbuf.Memo1[comm.Message, status]
 }
 
 var _ comm.Strategy = (*Candidate)(nil)
 
-// Reset implements comm.Strategy.
+// Reset implements comm.Strategy. The status memo persists: decoding is
+// pure, so its entry stays correct across executions.
 func (c *Candidate) Reset(*xrand.Rand) {
 	c.k = 0
 	c.mask = 0
@@ -317,17 +365,16 @@ func (c *Candidate) storeCmd(i int) comm.Message {
 		c.cmds = cmds
 	}
 	if c.cmds[i] == "" {
-		cmd := fmt.Sprintf("%s %d %s", cmdStore, i, Data(i))
-		c.cmds[i] = c.D.Encode(comm.Message(cmd))
+		c.cmds[i] = c.D.Encode(storeMsg(i))
 	}
 	return c.cmds[i]
 }
 
 // Step implements comm.Strategy.
 func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) {
-	if k, mask, ok := ParseStatus(in.FromWorld); ok {
-		c.k = k
-		c.mask = mask
+	if st := c.status.Do(in.FromWorld, decodeStatus); st.ok {
+		c.k = st.k
+		c.mask = st.mask
 	}
 	if c.k == 0 {
 		return comm.Outbox{}, nil
@@ -370,6 +417,7 @@ type progressSense struct {
 	started  bool
 	lastHave int
 	idle     int
+	status   msgbuf.Memo1[comm.Message, status]
 }
 
 var _ sensing.Sense = (*progressSense)(nil)
@@ -381,18 +429,13 @@ func (s *progressSense) Reset() {
 }
 
 func (s *progressSense) Observe(rv comm.RoundView) bool {
-	k, mask, ok := ParseStatus(rv.In.FromWorld)
-	if !ok {
+	st := s.status.Do(rv.In.FromWorld, decodeStatus)
+	if !st.ok {
 		// No status yet: grace.
 		return true
 	}
-	have := 0
-	for i := 0; i < k && i < 64; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			have++
-		}
-	}
-	if have == k {
+	have := st.stored
+	if have == st.k {
 		return true
 	}
 	if !s.started || have > s.lastHave {

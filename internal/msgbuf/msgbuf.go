@@ -188,6 +188,18 @@ func (m *Memo1[K, V]) Put(k K, v V) {
 	m.key, m.val, m.ok = k, v, true
 }
 
+// Do returns f(k), calling f only when k is not the stored key and then
+// storing the result in place of the previous entry. f must be pure: a
+// hit returns what f returned for an equal key.
+func (m *Memo1[K, V]) Do(k K, f func(K) V) V {
+	if m.ok && m.key == k {
+		return m.val
+	}
+	v := f(k)
+	m.key, m.val, m.ok = k, v, true
+	return v
+}
+
 // Reset clears the memo (dropping any references its entry holds).
 func (m *Memo1[K, V]) Reset() {
 	var zero Memo1[K, V]

@@ -99,6 +99,20 @@ func TestMemo1(t *testing.T) {
 	}
 }
 
+func TestMemo1Do(t *testing.T) {
+	var m Memo1[string, int]
+	calls := 0
+	f := func(s string) int { calls++; return len(s) }
+	for _, tc := range []struct {
+		k     string
+		calls int
+	}{{"ab", 1}, {"ab", 1}, {"cd", 2}, {"ab", 3}, {"", 4}, {"", 4}} {
+		if got := m.Do(tc.k, f); got != len(tc.k) || calls != tc.calls {
+			t.Fatalf("Do(%q) = %d after %d calls, want %d after %d", tc.k, got, calls, len(tc.k), tc.calls)
+		}
+	}
+}
+
 func TestTableCapAndReset(t *testing.T) {
 	tb := NewTable[string, int](2)
 	tb.Put("a", 1)

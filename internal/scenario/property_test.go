@@ -296,6 +296,11 @@ func TestRegistryBindRejects(t *testing.T) {
 		{"treasure param", mk(
 			Axis{Name: "goal", Values: []string{"treasure"}},
 			Axis{Name: "param", Values: Ints(3)})},
+		// The transfer status mask carries 64 chunks; a larger transfer
+		// never looks complete and evicts its matching candidate forever.
+		{"transfer param past the status mask", mk(
+			Axis{Name: "goal", Values: []string{"transfer"}},
+			Axis{Name: "param", Values: Ints(65)})},
 	}
 	for _, tc := range cases {
 		if _, err := reg.Bind(tc.sc); err == nil {
@@ -310,5 +315,11 @@ func TestRegistryBindRejects(t *testing.T) {
 		Axis{Name: "server", Values: Ints(-1)})
 	if _, err := reg.Bind(sc); err != nil {
 		t.Fatalf("server=-1: %v", err)
+	}
+	sc = mk(
+		Axis{Name: "goal", Values: []string{"transfer"}},
+		Axis{Name: "param", Values: Ints(64)})
+	if _, err := reg.Bind(sc); err != nil {
+		t.Fatalf("transfer param=64: %v", err)
 	}
 }

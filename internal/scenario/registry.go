@@ -213,6 +213,9 @@ func Builtin() *Registry {
 		if err := fsmAxes("transfer", ax); err != nil {
 			return nil, err
 		}
+		if ax.Param > transfer.MaxK {
+			return nil, fmt.Errorf("transfer param %d exceeds the %d-chunk limit of the status mask", ax.Param, transfer.MaxK)
+		}
 		fam, err := dialect.NewWordFamily(transfer.Vocabulary(), ax.Class)
 		if err != nil {
 			return nil, err

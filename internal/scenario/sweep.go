@@ -219,14 +219,21 @@ type switcher interface{ Switches() int }
 // verdicts, and therefore every aggregate byte, are identical to the
 // snapshot path. Other goals fall back to Config.OnRound with a reusable
 // single-state history.
+//
+// A switching user is referenced only while its execution runs: the
+// switch count is read every round and the reference dropped at the
+// horizon, so a chunk's finished trials do not keep their users (and
+// their cached candidates) alive until the chunk folds.
 type trialSlot struct {
-	g       goal.CompactGoal
-	judge   goal.WorldJudge // non-nil selects the live fast path
-	user    comm.Strategy
-	scratch comm.History
-	rounds  int
-	lastBad int // largest prefix length the referee rejected
-	msgs    int
+	g        goal.CompactGoal
+	judge    goal.WorldJudge // non-nil selects the live fast path
+	sw       switcher        // the trial's user while it runs, if it counts switches
+	horizon  int             // the trial's effective MaxRounds
+	switches int
+	scratch  comm.History
+	rounds   int
+	lastBad  int // largest prefix length the referee rejected
+	msgs     int
 }
 
 func (s *trialSlot) onRound(round int, rv comm.RoundView, state comm.WorldState) {
@@ -239,7 +246,7 @@ func (s *trialSlot) onRound(round int, rv comm.RoundView, state comm.WorldState)
 	if !s.g.Acceptable(s.scratch) {
 		s.lastBad = round + 1
 	}
-	s.countMsgs(rv)
+	s.track(rv)
 }
 
 func (s *trialSlot) onRoundLive(round int, rv comm.RoundView, w goal.World) {
@@ -247,10 +254,18 @@ func (s *trialSlot) onRoundLive(round int, rv comm.RoundView, w goal.World) {
 	if !s.judge.AcceptableWorld(w) {
 		s.lastBad = round + 1
 	}
-	s.countMsgs(rv)
+	s.track(rv)
 }
 
-func (s *trialSlot) countMsgs(rv comm.RoundView) {
+// track counts the round's messages and reads the user's switch count;
+// the count after the last round the engine runs is the trial's total.
+func (s *trialSlot) track(rv comm.RoundView) {
+	if s.sw != nil {
+		s.switches = s.sw.Switches()
+		if s.rounds >= s.horizon {
+			s.sw = nil
+		}
+	}
 	if !rv.In.FromServer.Empty() {
 		s.msgs++
 	}
@@ -299,9 +314,7 @@ func (j *scenJob) fold(errs []error, window int) *Stats {
 		counted++
 		totalRounds += slot.rounds
 		totalMsgs += slot.msgs
-		if u, ok := slot.user.(switcher); ok {
-			totalSwitches += u.Switches()
-		}
+		totalSwitches += slot.switches
 		if slot.rounds >= window && slot.lastBad <= slot.rounds-window {
 			st.Successes++
 			conv = append(conv, float64(slot.lastBad))
@@ -448,9 +461,13 @@ func (m *Matrix) Sweep(indices []int64, cfg SweepConfig) (*Summary, error) {
 			return err
 		}
 		judge, _ := bind.Goal.(goal.WorldJudge)
+		horizon := bind.MaxRounds
+		if horizon <= 0 {
+			horizon = system.DefaultMaxRounds
+		}
 		job := &scenJob{sc: sc, slots: make([]*trialSlot, seeds), base: len(trials)}
 		for t := 0; t < seeds; t++ {
-			slot := &trialSlot{g: bind.Goal, judge: judge}
+			slot := &trialSlot{g: bind.Goal, judge: judge, horizon: horizon}
 			job.slots[t] = slot
 			mkUser := bind.User
 			cfg := system.Config{
@@ -466,7 +483,7 @@ func (m *Matrix) Sweep(indices []int64, cfg SweepConfig) (*Summary, error) {
 			trials = append(trials, system.Trial{
 				User: func() (comm.Strategy, error) {
 					u, err := mkUser()
-					slot.user = u
+					slot.sw, _ = u.(switcher)
 					return u, err
 				},
 				Server: bind.Server,

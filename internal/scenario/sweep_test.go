@@ -395,3 +395,36 @@ func TestSweepJudgeFastPathMatchesFallback(t *testing.T) {
 		t.Fatalf("summaries disagree: %+v vs %+v", fastSum, slowSum)
 	}
 }
+
+type fixedSwitcher struct{ n int }
+
+func (f *fixedSwitcher) Switches() int { return f.n }
+
+// TestTrialSlotDropsUserAtHorizon pins the slot's retention rule: it
+// reads the user's switch count every round and lets go of the user once
+// the trial reaches its horizon, keeping the last count.
+func TestTrialSlotDropsUserAtHorizon(t *testing.T) {
+	t.Parallel()
+
+	u := &fixedSwitcher{}
+	slot := &trialSlot{sw: u, horizon: 3}
+	for round := 1; round <= 3; round++ {
+		u.n = 2 * round
+		slot.rounds = round
+		slot.track(comm.RoundView{})
+		if slot.switches != u.n {
+			t.Fatalf("round %d: switches %d, want %d", round, slot.switches, u.n)
+		}
+		if round < 3 && slot.sw == nil {
+			t.Fatalf("round %d: user dropped before the horizon", round)
+		}
+	}
+	if slot.sw != nil {
+		t.Fatal("slot still references its user after the horizon")
+	}
+	u.n = 99
+	slot.track(comm.RoundView{})
+	if slot.switches != 6 {
+		t.Fatalf("switches changed after the horizon: %d", slot.switches)
+	}
+}
