@@ -206,14 +206,51 @@ func (cl *Client) Lease(ctx context.Context, job string, req LeaseRequest) (*Lea
 	if job != "" {
 		path = "/v1/sweeps/" + job + "/leases"
 	}
-	var lease LeaseResponse
-	if err := cl.do(ctx, http.MethodPost, path, bytes.NewReader(body), &lease); err != nil {
+	var wire leaseWire
+	if err := cl.do(ctx, http.MethodPost, path, bytes.NewReader(body), &wire); err != nil {
 		return nil, err
 	}
+	lease := wire.LeaseResponse
 	if lease.Protocol != ProtocolVersion {
 		return nil, fmt.Errorf("dist: coordinator speaks protocol %d, want %d", lease.Protocol, ProtocolVersion)
 	}
+	if wire.Plan != nil {
+		plan := wire.Plan.Plan
+		spec, err := leaseSpec(wire.Plan.Spec)
+		if err != nil {
+			return nil, &TransportError{Err: fmt.Errorf("dist: decode %s response: %w", path, err)}
+		}
+		plan.Spec = spec
+		lease.Plan = &plan
+	}
 	return &lease, nil
+}
+
+// leaseWire is a lease response as decoded: the plan's spec is kept raw
+// so that it resolves through scenario.SharedSpec, which hands every
+// lease of a job the same read-only *Spec (and makes the worker's plan
+// memo comparison O(1) on it).
+type leaseWire struct {
+	LeaseResponse
+	Plan *struct {
+		Plan
+		Spec json.RawMessage `json:"spec"`
+	} `json:"plan,omitempty"`
+}
+
+// leaseSpec resolves a leased plan's raw spec. The lease decoder has
+// always been lenient, so bytes the shared strict memo refuses fall back
+// to a plain lenient decode, which is never memoised.
+func leaseSpec(raw json.RawMessage) (*scenario.Spec, error) {
+	if raw == nil {
+		return nil, nil
+	}
+	if spec, err := scenario.SharedSpec(raw); err == nil {
+		return spec, nil
+	}
+	var spec *scenario.Spec
+	err := json.Unmarshal(raw, &spec)
+	return spec, err
 }
 
 // Renew extends one lease (POST /v1/leases/{lease}/renew).
@@ -228,6 +265,8 @@ func (cl *Client) Renew(ctx context.Context, leaseID string) (*RenewResponse, er
 // SubmitResult pushes one shard envelope back under its lease (POST
 // /v1/leases/{lease}/result) as compact JSON; the coordinator accepts any
 // whitespace, and on-disk envelopes stay indented (ShardResult.Write).
+// The coordinator keeps the body it accepts: event frames forward it
+// verbatim, and a later duplicate for the shard is compared with it.
 // The executed and mallocs query parameters carry the accounting that is
 // json:"-" in the envelope.
 func (cl *Client) SubmitResult(ctx context.Context, leaseID string, sr *scenario.ShardResult, executed, mallocs int64) (*SubmitResponse, error) {
@@ -250,8 +289,10 @@ type SweepEvent struct {
 	// ID is the frame's id field (the shard index for EventShard, the
 	// job ID for EventComplete).
 	ID string
-	// Data is the frame's payload: a compact scenario.ShardResult for
-	// EventShard, a CompleteEvent for EventComplete.
+	// Data is the frame's payload: a scenario.ShardResult for
+	// EventShard — the accepted submit body, byte for byte, when it was
+	// one line (as SubmitResult sends it), else its compact re-encoding
+	// — and a CompleteEvent for EventComplete. Frames have no size cap.
 	Data []byte
 }
 
@@ -279,15 +320,23 @@ func (cl *Client) Events(ctx context.Context, id string, fn func(SweepEvent) err
 	if resp.StatusCode != http.StatusOK {
 		return httpError("GET /v1/sweeps/"+id+"/events", resp)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	// A shard frame carries a whole envelope on one data line; size the
-	// scanner for the default matrix's largest shard with headroom.
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	// A shard frame carries a whole envelope on one data line, and a
+	// line has no size cap: a large shard must not wedge the watch.
+	br := bufio.NewReaderSize(resp.Body, 256*1024)
 	var ev SweepEvent
-	for sc.Scan() {
-		line := sc.Text()
+	for {
+		// ReadBytes returns an owned slice of any length: the data payload
+		// below is a subslice of it, copied nowhere else.
+		line, err := br.ReadBytes('\n')
+		if err == io.EOF && len(line) == 0 {
+			break
+		}
+		if err != nil && err != io.EOF {
+			return &TransportError{Err: err}
+		}
+		line = bytes.TrimSuffix(bytes.TrimSuffix(line, []byte("\n")), []byte("\r"))
 		switch {
-		case line == "":
+		case len(line) == 0:
 			if ev.Type != "" || ev.Data != nil {
 				done := ev.Type == EventComplete
 				if err := fn(ev); err != nil {
@@ -298,16 +347,13 @@ func (cl *Client) Events(ctx context.Context, id string, fn func(SweepEvent) err
 				}
 			}
 			ev = SweepEvent{}
-		case strings.HasPrefix(line, "event: "):
-			ev.Type = line[len("event: "):]
-		case strings.HasPrefix(line, "id: "):
-			ev.ID = line[len("id: "):]
-		case strings.HasPrefix(line, "data: "):
-			ev.Data = []byte(line[len("data: "):])
+		case bytes.HasPrefix(line, []byte("event: ")):
+			ev.Type = string(line[len("event: "):])
+		case bytes.HasPrefix(line, []byte("id: ")):
+			ev.ID = string(line[len("id: "):])
+		case bytes.HasPrefix(line, []byte("data: ")):
+			ev.Data = line[len("data: "):]
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return &TransportError{Err: err}
 	}
 	return fmt.Errorf("dist: job %s: %w", id, errStreamEnded)
 }

@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -792,22 +794,37 @@ func (c *Coordinator) renewLocked(leaseID string) (RenewResponse, *httpErr) {
 // accepted as long as the shard is still open — sweeps are
 // deterministic, so a straggler's envelope is byte-identical to the
 // re-leased worker's — and submissions for an already-completed shard
-// are acknowledged idempotently and discarded.
+// are compared with the accepted envelope: acknowledged when they agree,
+// refused when they do not. The body is read once, decoded and validated
+// in full before the state lock is taken, and kept as the shard's
+// accepted bytes.
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	leaseID := r.PathValue("lease")
-	sr, err := scenario.ReadShardResult(r.Body)
+	sr, body, err := readShardBody(r)
 	if err != nil {
 		c.rejectSubmit("decode", err.Error())
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
 	q := r.URL.Query()
-	ack, herr := c.submitLocked(leaseID, sr, q.Get("executed"), q.Get("mallocs"))
+	ack, herr := c.submitLocked(leaseID, sr, body, q.Get("executed"), q.Get("mallocs"))
 	if herr != nil {
 		http.Error(w, herr.msg, herr.code)
 		return
 	}
 	writeJSON(w, ack)
+}
+
+// readShardBody reads a submit body whole and decodes it with
+// scenario.DecodeShardResult. The buffer grows with the bytes that
+// arrive, never from the claimed Content-Length, so a client cannot make
+// the coordinator allocate memory it has not sent.
+func readShardBody(r *http.Request) (*scenario.ShardResult, []byte, error) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		return nil, nil, fmt.Errorf("scenario: decode shard result: %w", err)
+	}
+	return scenario.DecodeShardResult(body)
 }
 
 // rejectSubmit records one refused envelope in the metrics and the event
@@ -819,7 +836,9 @@ func (c *Coordinator) rejectSubmit(reason, detail string) {
 		obs.String("detail", detail))
 }
 
-func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult, executed, mallocs string) (SubmitResponse, *httpErr) {
+// submitLocked checks one decoded envelope against its lease and job,
+// and accepts it with body, its JSON as submitted.
+func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult, body []byte, executed, mallocs string) (SubmitResponse, *httpErr) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	li, ok := c.leases[leaseID]
@@ -849,8 +868,13 @@ func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult, exe
 	}
 	if j.shards[idx-1].done {
 		// A straggler finished after its shard was re-leased and
-		// resubmitted; its bytes are identical by determinism, so just
-		// acknowledge.
+		// resubmitted. Determinism says its envelope is identical to the
+		// accepted one; check that instead of trusting it.
+		if !sameEnvelope(body, j.bodies[idx], sr, j.results[idx]) {
+			c.rejectSubmit("mismatch", sr.Shard.String())
+			return SubmitResponse{}, &httpErr{http.StatusConflict,
+				fmt.Sprintf("dist: envelope for shard %s differs from the one already accepted — nondeterministic worker", sr.Shard)}
+		}
 		mSubmitsDuplicate.With(j.id).Inc()
 		c.events.Event(obs.LevelInfo, "submit.duplicate",
 			obs.String("lease", leaseID),
@@ -860,6 +884,7 @@ func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult, exe
 		return SubmitResponse{Accepted: true, Done: j.complete()}, nil
 	}
 	j.results[idx] = sr
+	j.bodies[idx] = body
 	j.shards[idx-1].done = true
 	j.submitters[li.worker] = li.parallel
 	if wi := c.workers[li.worker]; wi != nil {
@@ -898,12 +923,28 @@ func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult, exe
 		obs.Int("done", len(j.results)),
 		obs.Int("shards", j.plan.Shards),
 		obs.String("job", j.id))
-	c.publishShardLocked(j, sr)
+	c.publishShardLocked(j, idx)
 	complete := j.complete()
 	if complete {
 		c.completeJobLocked(j)
 	}
 	return SubmitResponse{Accepted: true, Done: complete}, nil
+}
+
+// sameEnvelope reports whether a duplicate submit (body, decoded sr)
+// carries the accepted envelope (accepted, decoded acc): byte-equal
+// bodies, or — when the bodies differ, say in whitespace — equal
+// canonical re-encodings of the decoded envelopes.
+func sameEnvelope(body, accepted []byte, sr, acc *scenario.ShardResult) bool {
+	if accepted != nil && bytes.Equal(body, accepted) {
+		return true
+	}
+	a, err := json.Marshal(sr)
+	if err != nil {
+		return false
+	}
+	b, err := json.Marshal(acc)
+	return err == nil && bytes.Equal(a, b)
 }
 
 // handleStatus reports progress: the whole queue under Jobs, plus the

@@ -15,8 +15,9 @@
 //	GET  /v1/sweeps                    list the queue
 //	GET  /v1/sweeps/{id}               one job's status and shard states
 //	GET  /v1/sweeps/{id}/events        SSE stream: every accepted shard
-//	                                   envelope (replayed, then live),
-//	                                   then one complete frame
+//	                                   envelope (replayed, then live) as
+//	                                   the worker submitted it, then one
+//	                                   complete frame
 //	POST /v1/sweeps/{id}/leases        pull work from one job
 //	POST /v1/leases                    pull work fair-share across jobs
 //	POST /v1/leases/{lease}/renew      extend a lease while computing
@@ -37,7 +38,20 @@
 // derive from scenario content, never from placement — a re-executed
 // shard produces byte-identical results, so a stale submit racing a
 // re-lease is accepted idempotently rather than rejected: every writer
-// of a shard writes the same bytes.
+// of a shard writes the same bytes. The coordinator checks that instead
+// of trusting it: it keeps each accepted body, compares a duplicate
+// with it, and refuses a differing one with 409.
+//
+// Each envelope is decoded once per process where it lands and encoded
+// once. The coordinator reads a submit body once, decodes and validates
+// all of it, and forwards the same bytes on the event stream. The spec
+// every envelope and lease of a job repeats resolves through
+// scenario.SharedSpec, a process-wide memo keyed by the exact spec
+// bytes, so the coordinator, the watcher and the worker each decode it
+// once per job. On perfbench's fleet workload (a 5,000-scenario family
+// sample in 64 shards, 69 KiB envelopes each repeating a 28 KiB spec; a
+// 2-CPU host) this cut the median CPU time per run from 1.28 s to
+// 1.05 s and the peak heap from 51.6 MiB to 32.3 MiB.
 //
 // Jobs are resumable. With a state directory configured the coordinator
 // persists each job's plan and every accepted envelope; a restart

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-
-	"repro/internal/scenario"
 )
 
 // Server-sent events: GET /v1/sweeps/{id}/events streams a job's
@@ -38,14 +36,21 @@ func sseFrame(event, id string, data []byte) []byte {
 	return b.Bytes()
 }
 
-// shardFrame encodes one accepted envelope as an EventShard frame; the
-// event ID is the shard index.
-func shardFrame(sr *scenario.ShardResult) ([]byte, error) {
-	data, err := json.Marshal(sr)
-	if err != nil {
-		return nil, err
+// shardFrame encodes shard idx's accepted envelope as an EventShard
+// frame; the event ID is the shard index. The data line is the body the
+// worker submitted, forwarded verbatim — the coordinator decoded and
+// validated all of it before accepting it. Only a body that is not one
+// line (an indented submit) or was not kept (a shard resumed from disk)
+// is re-encoded compactly. Called with c.mu held.
+func shardFrame(j *job, idx int) ([]byte, error) {
+	data := j.bodies[idx]
+	if data == nil || bytes.ContainsAny(data, "\r\n") {
+		var err error
+		if data, err = json.Marshal(j.results[idx]); err != nil {
+			return nil, err
+		}
 	}
-	return sseFrame(EventShard, strconv.Itoa(sr.Shard.Index), data), nil
+	return sseFrame(EventShard, strconv.Itoa(idx), data), nil
 }
 
 // completeFrame encodes a job's terminal EventComplete frame.
@@ -54,13 +59,13 @@ func completeFrame(j *job) []byte {
 	return sseFrame(EventComplete, j.id, data)
 }
 
-// publishShardLocked fans one accepted envelope out to the job's live
-// subscribers. Called with c.mu held.
-func (c *Coordinator) publishShardLocked(j *job, sr *scenario.ShardResult) {
+// publishShardLocked fans shard idx's accepted envelope out to the
+// job's live subscribers. Called with c.mu held.
+func (c *Coordinator) publishShardLocked(j *job, idx int) {
 	if len(j.subs) == 0 {
 		return
 	}
-	frame, err := shardFrame(sr)
+	frame, err := shardFrame(j, idx)
 	if err != nil {
 		return
 	}
@@ -111,11 +116,10 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	var sub chan []byte
 	if ok {
 		for idx := 1; idx <= j.plan.Shards; idx++ {
-			sr := j.results[idx]
-			if sr == nil {
+			if j.results[idx] == nil {
 				continue
 			}
-			frame, err := shardFrame(sr)
+			frame, err := shardFrame(j, idx)
 			if err != nil {
 				continue
 			}

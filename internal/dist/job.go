@@ -46,6 +46,7 @@ type job struct {
 
 	shards       []shardState                  // index i-1 holds shard i/n
 	results      map[int]*scenario.ShardResult // 1-based shard index -> envelope
+	bodies       map[int][]byte                // accepted envelope JSON as submitted; nil when resumed from disk
 	submitters   map[string]int                // workers whose envelopes were accepted -> parallelism
 	executed     int64                         // trials the fleet reported actually executing
 	execKnown    bool                          // every accepted submit carried an executed count
@@ -64,6 +65,7 @@ func newJob(plan Plan) *job {
 		plan:         plan,
 		shards:       make([]shardState, plan.Shards),
 		results:      make(map[int]*scenario.ShardResult),
+		bodies:       make(map[int][]byte),
 		submitters:   make(map[string]int),
 		execKnown:    true,
 		mallocsKnown: true,

@@ -228,7 +228,8 @@ type WorkerStatus struct {
 // SSE event types on GET /v1/sweeps/{id}/events.
 const (
 	// EventShard carries one accepted shard envelope (the ShardResult
-	// JSON, compact) in its data field; the event ID is the shard index.
+	// JSON as submitted, on one line) in its data field; the event ID is
+	// the shard index.
 	// Subscribing to a job replays every already-accepted shard first, in
 	// shard-index order, then streams the rest as they land.
 	EventShard = "shard"

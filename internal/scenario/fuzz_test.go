@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -106,20 +107,38 @@ func shardSeed(f *testing.F) []byte {
 }
 
 // FuzzReadShardResult feeds arbitrary bytes through the shard-envelope
-// decoder: never panic, and anything accepted must validate, survive a
-// write/read round trip, and keep rejecting unknown fields.
+// decoder: never panic, accept exactly what a plain strict decode of the
+// whole envelope accepts and decode it to an equal value (the shared
+// spec memo must be invisible), and anything accepted must validate,
+// survive a write/read round trip, and keep rejecting unknown fields.
 func FuzzReadShardResult(f *testing.F) {
 	valid := shardSeed(f)
 	f.Add(valid)
 	f.Add(bytes.Replace(valid, []byte(`"version": 1`), []byte(`"version": 99`), 1))
 	f.Add(bytes.Replace(valid, []byte(`"index": 1`), []byte(`"index": 7`), 1))
+	// Specs of one length but different content: a memo keyed on
+	// anything less than the bytes would hand one the other's spec.
+	f.Add(bytes.Replace(valid, []byte(`"name": "seed"`), []byte(`"name": "sEEd"`), 1))
+	f.Add(bytes.Replace(valid, []byte(`"treasure"`), []byte(`"printing"`), 1))
+	// A repeated spec key merges into one spec in a plain decode.
+	f.Add(bytes.Replace(valid, []byte(`"spec": {`), []byte(`"spec": {"name": "first", "seeds": 3}, "spec": {`), 1))
+	f.Add(bytes.Replace(valid, []byte(`"spec": {`), []byte(`"spec": null, "Spec": {`), 1))
 	f.Add([]byte(`{"version":1}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`garbage`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sr, err := ReadShardResult(bytes.NewReader(data))
+		ref, refErr := plainReadShardResult(data)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("ReadShardResult error %v, plain strict decode error %v", err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(sr, ref) {
+			got, _ := json.Marshal(sr)
+			want, _ := json.Marshal(ref)
+			t.Fatalf("ReadShardResult decoded %s\nplain strict decode %s", got, want)
 		}
 		if verr := sr.Validate(); verr != nil {
 			t.Fatalf("ReadShardResult accepted an envelope Validate rejects: %v", verr)

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -163,14 +164,45 @@ func (sr *ShardResult) Write(w io.Writer) error {
 // future format that grew fields would otherwise decode "successfully"
 // with those fields silently dropped, and a merge would fabricate a
 // complete-looking report from data it did not understand. Compatible
-// format evolution bumps ShardFormatVersion instead.
+// format evolution bumps ShardFormatVersion instead. The spec is
+// resolved through SharedSpec, so envelopes of one sweep share one
+// read-only *Spec and only the first pays for decoding it; the result is
+// exactly what a plain strict decode of the whole envelope yields.
 func ReadShardResult(r io.Reader) (*ShardResult, error) {
-	dec := json.NewDecoder(r)
+	return decodeShardResult(json.NewDecoder(r))
+}
+
+// DecodeShardResult is ReadShardResult over an in-memory body. It also
+// returns the envelope's own JSON: data cut to the one value the decoder
+// read, without surrounding whitespace or anything after it.
+func DecodeShardResult(data []byte) (*ShardResult, []byte, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	sr, err := decodeShardResult(dec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sr, bytes.TrimSpace(data[:dec.InputOffset()]), nil
+}
+
+// shardWire is the envelope as decoded: ShardResult's fields, with the
+// spec kept raw so it can resolve through SharedSpec.
+type shardWire struct {
+	ShardResult
+	Spec rawSpecs `json:"spec"`
+}
+
+func decodeShardResult(dec *json.Decoder) (*ShardResult, error) {
 	dec.DisallowUnknownFields()
-	var sr ShardResult
-	if err := dec.Decode(&sr); err != nil {
+	var w shardWire
+	if err := dec.Decode(&w); err != nil {
 		return nil, fmt.Errorf("scenario: decode shard result: %w", err)
 	}
+	spec, err := w.Spec.resolve()
+	if err != nil {
+		return nil, fmt.Errorf("scenario: decode shard result: %w", err)
+	}
+	sr := w.ShardResult
+	sr.Spec = spec
 	if err := sr.Validate(); err != nil {
 		return nil, err
 	}
