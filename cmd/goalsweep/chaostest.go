@@ -118,17 +118,18 @@ func runChaostest(ctx context.Context, args []string, stdout, stderr io.Writer) 
 	return nil
 }
 
-// chaoticSweep runs one distributed sweep of the plan: a fresh
-// coordinator, the shared fault injector wrapped around a loopback
-// client, and a fleet of workers retrying through whatever the injector
-// throws at them. Returns the merged report bytes.
+// chaoticSweep runs one distributed sweep of the plan: a fresh service
+// that admits the plan over a plain loopback client, the shared fault
+// injector wrapped around that client, and a fleet of workers pinned to
+// the job, retrying through whatever the injector throws at them.
+// Returns the merged report bytes.
 func chaoticSweep(ctx context.Context, plan dist.Plan, inj *chaos.Injector, workers int, poll time.Duration, events *obs.Logger) ([]byte, error) {
 	// A truncated lease response strands the granted lease: the worker
 	// cannot decode its grant, retries, and the shard sits leased-but-dead
 	// until the TTL. Speculation papers over exactly that — another worker
 	// re-leases the straggling shard early and the first submit wins — so
 	// the harness turns it on aggressively to keep chaotic runs fast.
-	coord, err := dist.NewCoordinator(plan, dist.CoordinatorConfig{
+	coord, err := dist.NewService(dist.CoordinatorConfig{
 		LeaseTTL:       10 * time.Second,
 		SpeculateAfter: 250 * time.Millisecond,
 		Events:         events,
@@ -136,7 +137,23 @@ func chaoticSweep(ctx context.Context, plan dist.Plan, inj *chaos.Injector, work
 	if err != nil {
 		return nil, err
 	}
-	client := inj.Client(dist.LoopbackClient(coord))
+	loopback := dist.LoopbackClient(coord)
+	// The admission bypasses the injector, so every scheduled fault lands
+	// on the workers' lease and submit traffic.
+	resp, err := dist.NewClient("http://coordinator", loopback).CreateSweep(ctx, dist.SweepRequest{
+		Spec:       plan.Spec,
+		Shards:     plan.Shards,
+		Seeds:      plan.Seeds,
+		Window:     plan.Window,
+		BaseSeed:   plan.BaseSeed,
+		SampleN:    plan.SampleN,
+		SampleSeed: plan.SampleSeed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	job := resp.Job.ID
+	client := inj.Client(loopback)
 
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
@@ -147,6 +164,7 @@ func chaoticSweep(ctx context.Context, plan dist.Plan, inj *chaos.Injector, work
 			Poll:        poll,
 			Retries:     100,
 			ID:          fmt.Sprintf("chaos-w%d", i+1),
+			Job:         job,
 			Events:      events,
 		}
 		wg.Add(1)
@@ -155,17 +173,14 @@ func chaoticSweep(ctx context.Context, plan dist.Plan, inj *chaos.Injector, work
 			_, errs[i] = w.Run(ctx)
 		}()
 	}
-	waitErr := coord.WaitJob(ctx, dist.JobID(plan))
+	// A pinned worker returns nil only once its job is complete.
 	wg.Wait()
-	if waitErr != nil {
-		return nil, waitErr
-	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	stats, sum, err := coord.JobMerged(dist.JobID(plan))
+	stats, sum, err := coord.JobMerged(job)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/scenario"
 )
 
@@ -48,25 +51,46 @@ func waitForURL(t *testing.T, stderr *syncBuffer) string {
 	return ""
 }
 
+// startServe runs goalsweep serve on a free loopback port until ctx
+// ends, and returns its base URL, its stderr and the channel its exit
+// error arrives on.
+func startServe(t *testing.T, ctx context.Context, args ...string) (string, *syncBuffer, <-chan error) {
+	t.Helper()
+	stderr := &syncBuffer{}
+	done := make(chan error, 1)
+	go func() {
+		var b strings.Builder
+		done <- runCtx(ctx, append([]string{"serve", "-listen", "127.0.0.1:0"}, args...), &b, stderr)
+	}()
+	return waitForURL(t, stderr), stderr, done
+}
+
+// submitJob runs goalsweep submit against url and returns the job ID it
+// printed, and its stderr.
+func submitJob(t *testing.T, url string, args ...string) (string, string) {
+	t.Helper()
+	var out, stderr strings.Builder
+	if err := run(append([]string{"submit", "-coordinator", url}, args...), &out, &stderr); err != nil {
+		t.Fatalf("submit %v: %v\n%s", args, err, stderr.String())
+	}
+	return strings.TrimSpace(out.String()), stderr.String()
+}
+
 // TestServeWorkByteIdentical is the CLI acceptance criterion for the
-// distributed backend: goalsweep serve plus two concurrent goalsweep work
-// processes produce a merged report byte-identical to a plain local run,
-// with one of the workers warming a result cache on the side.
+// distributed backend, run as a one-shot fleet: goalsweep serve, one
+// submitted job, two concurrent goalsweep work -exit-when-idle
+// processes (one warming a result cache on the side) and goalsweep
+// watch produce a report byte-identical to a plain local run.
 func TestServeWorkByteIdentical(t *testing.T) {
 	t.Parallel()
 
 	full := runSweep(t, "-builtin", "quick", "-json")
 	dir := t.TempDir()
 	outPath := filepath.Join(dir, "dist.json")
-
-	serveStderr := &syncBuffer{}
-	serveDone := make(chan error, 1)
-	go func() {
-		var b strings.Builder
-		serveDone <- run([]string{"serve", "-builtin", "quick", "-shards", "3",
-			"-listen", "127.0.0.1:0", "-json", "-out", outPath}, &b, serveStderr)
-	}()
-	url := waitForURL(t, serveStderr)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	url, _, serveDone := startServe(t, ctx)
+	job, _ := submitJob(t, url, "-builtin", "quick", "-shards", "3")
 
 	var wg sync.WaitGroup
 	workErrs := make([]error, 2)
@@ -74,7 +98,7 @@ func TestServeWorkByteIdentical(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			args := []string{"work", "-coordinator", url, "-poll", "10ms"}
+			args := []string{"work", "-coordinator", url, "-poll", "10ms", "-exit-when-idle"}
 			if i == 1 {
 				args = append(args, "-cache", filepath.Join(dir, "store"))
 			}
@@ -82,16 +106,16 @@ func TestServeWorkByteIdentical(t *testing.T) {
 			workErrs[i] = run(args, &b, io.Discard)
 		}()
 	}
+	var b strings.Builder
+	if err := run([]string{"watch", "-coordinator", url, "-json", "-out", outPath, job}, &b, io.Discard); err != nil {
+		t.Fatalf("watch: %v", err)
+	}
 	wg.Wait()
 	for i, err := range workErrs {
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
-	if err := <-serveDone; err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-
 	got, err := os.ReadFile(outPath)
 	if err != nil {
 		t.Fatal(err)
@@ -99,78 +123,62 @@ func TestServeWorkByteIdentical(t *testing.T) {
 	if string(got) != full {
 		t.Fatal("distributed serve/work report differs from plain local -json run")
 	}
-	if !strings.Contains(serveStderr.String(), "3 shards from 2 workers") {
-		t.Fatalf("serve accounting missing:\n%s", serveStderr.String())
+	// Both workers reached the coordinator, and every shard was credited
+	// to one of them.
+	_, _, body := getBody(t, url+"/status")
+	var st dist.StatusResponse
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// serveWork runs one serve + one work invocation to completion and
-// returns serve's stderr.
-func serveWork(t *testing.T, serveArgs, workArgs []string) string {
-	t.Helper()
-	serveStderr := &syncBuffer{}
-	serveDone := make(chan error, 1)
-	go func() {
-		var b strings.Builder
-		serveDone <- run(append([]string{"serve", "-listen", "127.0.0.1:0"}, serveArgs...), &b, serveStderr)
-	}()
-	url := waitForURL(t, serveStderr)
-	var b strings.Builder
-	if err := run(append([]string{"work", "-coordinator", url, "-poll", "10ms"}, workArgs...), &b, io.Discard); err != nil {
-		t.Fatalf("work: %v", err)
+	submitted := 0
+	for _, ws := range st.WorkerStates {
+		submitted += ws.Submitted
 	}
+	if st.Workers != 2 || submitted != 3 {
+		t.Fatalf("/status: %d workers with %d shards submitted, want 2 and 3", st.Workers, submitted)
+	}
+	cancel()
 	if err := <-serveDone; err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	return serveStderr.String()
 }
 
-// TestServeBenchSkippedOnWarmCache pins the distributed counterpart of
-// the local -bench/-cache refusal: a fleet that executed every trial gets
-// an artifact (with its worker count), a fleet that served from a warm
-// shared cache gets a loud skip instead of a lying artifact.
-func TestServeBenchSkippedOnWarmCache(t *testing.T) {
+// TestChaostestFaultLog pins the chaostest harness: one chaotic run under
+// seed 42 fires exactly the recorded fault log, and its merged report
+// matches the serial baseline's recorded size.
+func TestChaostestFaultLog(t *testing.T) {
 	t.Parallel()
 
-	dir := t.TempDir()
-	store := filepath.Join(dir, "store")
-	cold := filepath.Join(dir, "cold-bench.json")
-	warm := filepath.Join(dir, "warm-bench.json")
-
-	stderr := serveWork(t,
-		[]string{"-builtin", "quick", "-shards", "2", "-bench", cold, "-out", os.DevNull},
-		[]string{"-cache", store})
-	if strings.Contains(stderr, "artifact skipped") {
-		t.Fatalf("cold fleet bench skipped:\n%s", stderr)
-	}
-	data, err := os.ReadFile(cold)
+	want, err := os.ReadFile(filepath.Join("testdata", "chaostest-quick-seed42.golden"))
 	if err != nil {
-		t.Fatalf("cold fleet wrote no bench artifact: %v", err)
+		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"workers": 1`) {
-		t.Fatalf("distributed artifact missing worker count:\n%s", data)
-	}
-
-	stderr = serveWork(t,
-		[]string{"-builtin", "quick", "-shards", "2", "-bench", warm, "-out", os.DevNull},
-		[]string{"-cache", store})
-	if !strings.Contains(stderr, "artifact skipped") {
-		t.Fatalf("warm fleet bench not skipped:\n%s", stderr)
-	}
-	if _, err := os.Stat(warm); err == nil {
-		t.Fatal("warm fleet wrote a throughput artifact that lies")
+	got := runSweep(t, "chaostest", "-builtin", "quick", "-shards", "6", "-workers", "2", "-runs", "1",
+		"-chaos", "drop=2,delay=2:20ms,dup=1,trunc=1,err=2", "-chaosseed", "42", "-faultlog")
+	if got != string(want) {
+		t.Fatalf("chaostest output differs from the golden:\ngot:\n%swant:\n%s", got, want)
 	}
 }
 
 func TestServeWorkFlagValidation(t *testing.T) {
 	t.Parallel()
 
+	// serve is the service alone: spec, partition and report flags
+	// belong to submit and watch, and are refused as unknown.
 	var b strings.Builder
-	if err := run([]string{"serve", "-builtin", "quick", "-json", "-csv"}, &b, io.Discard); err == nil {
-		t.Fatal("serve -json -csv accepted together")
-	}
-	if err := run([]string{"serve", "-builtin", "quick", "-shards", "0"}, &b, io.Discard); err == nil {
-		t.Fatal("serve -shards 0 accepted")
+	for _, args := range [][]string{
+		{"-service"},
+		{"-builtin", "quick"},
+		{"-shards", "2"},
+		{"-json"},
+		{"-out", "report.json"},
+		{"-bench", "bench.json"},
+		{"-linger", "1s"},
+	} {
+		if err := run(append([]string{"serve"}, args...), &b, io.Discard); err == nil ||
+			!strings.Contains(err.Error(), "not defined") {
+			t.Errorf("serve %v accepted: %v", args, err)
+		}
 	}
 	if err := run([]string{"work"}, &b, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "-coordinator") {
@@ -183,7 +191,7 @@ func TestServeWorkFlagValidation(t *testing.T) {
 func TestBuiltinHelpListsEverySpec(t *testing.T) {
 	t.Parallel()
 
-	for _, cmd := range [][]string{{"-h"}, {"serve", "-h"}, {"submit", "-h"}, {"chaostest", "-h"}} {
+	for _, cmd := range [][]string{{"-h"}, {"submit", "-h"}, {"chaostest", "-h"}} {
 		var b strings.Builder
 		run(cmd, &b, io.Discard)
 		_, help, _ := strings.Cut(b.String(), "-builtin string\n")

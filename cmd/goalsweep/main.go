@@ -18,10 +18,9 @@
 //	goalsweep merge -json -out full.json shard-*.json
 //	goalsweep benchcmp old.json new.json         # throughput regression check
 //	goalsweep -builtin default -fingerprint      # print the sweep fingerprint
-//	goalsweep serve -builtin default -shards 3 -listen :8077 -json -out report.json
-//	goalsweep serve -service -state DIR -listen :8077
-//	goalsweep work -coordinator http://host:8077 -cache DIR
+//	goalsweep serve -state DIR -listen :8077
 //	goalsweep submit -coordinator http://host:8077 -builtin default -shards auto
+//	goalsweep work -coordinator http://host:8077 -cache DIR -exit-when-idle
 //	goalsweep watch -coordinator http://host:8077 -json -out report.json JOB
 //
 // Sweeps are deterministic per spec and seed: -parallel bounds the worker
@@ -35,19 +34,18 @@
 // i/n runs the i-th of n contiguous partitions of the selection (with
 // -json it emits a mergeable envelope), and "goalsweep merge" recombines
 // a complete set of envelopes into output byte-identical to the unsharded
-// run. "goalsweep serve"/"goalsweep work" automate the same split as a
-// coordinator/worker pool (see repro/internal/dist): the coordinator
-// leases shards over HTTP with a timeout — crashed workers' shards are
-// re-issued — validates every submitted envelope against the sweep
-// fingerprint, and writes the merged report once the last shard lands.
-// "goalsweep serve -service" runs the same coordinator as a long-lived
-// multi-tenant job queue instead: "goalsweep submit" enqueues sweeps
-// over the /v1 API (printing the job ID), job-agnostic workers drain the
-// queue fair-share, and "goalsweep watch" streams a job's shard
-// envelopes over SSE and renders the merged report — still
-// byte-identical to a local run of the same spec. With -state DIR the
-// service persists plans and envelopes and resumes incomplete jobs
-// across restarts without re-executing finished shards.
+// run. "goalsweep serve" automates the same split as a long-lived
+// multi-tenant job queue (see repro/internal/dist): "goalsweep submit"
+// enqueues sweeps over the /v1 API (printing the job ID), "goalsweep
+// work" processes drain the queue fair-share — the coordinator leases
+// shards over HTTP with a timeout, re-issues crashed workers' shards and
+// validates every submitted envelope against the sweep fingerprint —
+// and "goalsweep watch" streams a job's shard envelopes over SSE and
+// renders the merged report, byte-identical to a local run of the same
+// spec. A one-shot fleet run is the four verbs together, with workers
+// started -exit-when-idle. With -state DIR the service persists plans
+// and envelopes and resumes incomplete jobs across restarts without
+// re-executing finished shards.
 // -cache DIR keeps a content-addressed store of per-scenario
 // aggregates keyed by scenario ID, base seed, trials and window: hit
 // scenarios are emitted without executing a single trial, again
@@ -78,7 +76,7 @@ import (
 
 func main() {
 	// SIGINT/SIGTERM cancel the context instead of killing the process,
-	// so a long-lived `serve -service` shuts its listener down cleanly
+	// so a long-lived `serve` shuts its listener down cleanly
 	// (and a second signal force-kills via the default handler).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	err := runCtx(ctx, os.Args[1:], os.Stdout, os.Stderr)
@@ -150,13 +148,6 @@ func (sf *sweepFlags) spec() (*scenario.Spec, error) {
 // config is the execution overrides as a SweepConfig.
 func (sf *sweepFlags) config() scenario.SweepConfig {
 	return scenario.SweepConfig{Seeds: sf.seeds, Window: sf.window, BaseSeed: sf.baseSeed}
-}
-
-// given reports whether a spec was chosen or narrowed, a sample asked
-// for, or an execution override set.
-func (sf *sweepFlags) given() bool {
-	return sf.specPath != "" || sf.builtin != "" || len(sf.filters) > 0 || sf.sample != 0 ||
-		sf.seeds != 0 || sf.window != 0 || sf.baseSeed != 0
 }
 
 // run is runCtx without cancellation — the signature most tests use.
@@ -363,7 +354,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 		if err != nil {
 			return err
 		}
-		if err := writeBench(*benchPath, sum, elapsed, *parallel, 1, mallocs, perGoal); err != nil {
+		if err := writeBench(*benchPath, sum, elapsed, *parallel, mallocs, perGoal); err != nil {
 			return err
 		}
 	}
@@ -860,19 +851,14 @@ func benchPerGoal(sf *sweepFlags, spec *scenario.Spec, cfg scenario.SweepConfig)
 // writeBench writes the throughput artifact — deliberately the only
 // goalsweep output that contains timings. A defaulted worker pool is
 // recorded as its effective size (GOMAXPROCS), not 0, so artifacts are
-// comparable across hosts. workers is the number of worker processes that
-// produced the sweep: 1 for a local run, the coordinator's distinct
-// submitter count for a distributed one (with parallel then totalling the
-// fleet's pools). mallocs is the process's heap-allocation count over the
-// sweep (0 = unmeasured, e.g. a coordinator whose allocations happened in
-// worker processes); unlike timings it is host-independent, which makes
-// allocsPerRound the most portable regression signal in the artifact.
-func writeBench(path string, sum *scenario.Summary, elapsed time.Duration, parallel, workers int, mallocs int64, perGoal []harness.GoalBench) error {
+// comparable across hosts. The sweep ran in this one process, so the
+// artifact records one worker. mallocs is the process's heap-allocation
+// count over the sweep; unlike timings it is host-independent, which
+// makes allocsPerRound the most portable regression signal in the
+// artifact.
+func writeBench(path string, sum *scenario.Summary, elapsed time.Duration, parallel int, mallocs int64, perGoal []harness.GoalBench) error {
 	if parallel < 1 {
 		parallel = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	secs := elapsed.Seconds()
 	b := harness.SweepBench{
@@ -881,7 +867,7 @@ func writeBench(path string, sum *scenario.Summary, elapsed time.Duration, paral
 		Trials:      sum.Trials,
 		TotalRounds: sum.TotalRounds,
 		Parallel:    parallel,
-		Workers:     workers,
+		Workers:     1,
 		ElapsedNs:   elapsed.Nanoseconds(),
 		Mallocs:     mallocs,
 		PerGoal:     perGoal,

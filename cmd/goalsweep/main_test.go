@@ -209,8 +209,8 @@ func TestProfileFlags(t *testing.T) {
 	}
 	var b strings.Builder
 	for _, args := range [][]string{
-		{"serve", "-builtin", "quick", "-cpuprofile", cpu},
-		{"serve", "-builtin", "quick", "-memprofile", mem},
+		{"serve", "-cpuprofile", cpu},
+		{"serve", "-memprofile", mem},
 		{"work", "-coordinator", "http://127.0.0.1:1", "-cpuprofile", cpu},
 		{"work", "-coordinator", "http://127.0.0.1:1", "-memprofile", mem},
 	} {

@@ -10,7 +10,7 @@ import (
 )
 
 // TestServiceSubmitWatch is the CLI acceptance criterion for the sweep
-// service: a long-lived `serve -service` coordinator takes two
+// service: a long-lived `serve` coordinator takes two
 // submitted jobs, a fair-share worker drains both, and `watch` renders
 // each job's report byte-identical to a plain local run of the same
 // spec. Resubmission is idempotent and SIGTERM-style cancellation shuts
@@ -23,34 +23,16 @@ func TestServiceSubmitWatch(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	serveStderr := &syncBuffer{}
-	serveDone := make(chan error, 1)
-	go func() {
-		var b strings.Builder
-		serveDone <- runCtx(ctx, []string{"serve", "-service",
-			"-state", filepath.Join(t.TempDir(), "state"),
-			"-listen", "127.0.0.1:0"}, &b, serveStderr)
-	}()
-	url := waitForURL(t, serveStderr)
-
-	submit := func(args ...string) (jobID, stderr string) {
-		t.Helper()
-		var out strings.Builder
-		errBuf := &strings.Builder{}
-		if err := run(append([]string{"submit", "-coordinator", url}, args...), &out, errBuf); err != nil {
-			t.Fatalf("submit %v: %v\n%s", args, err, errBuf.String())
-		}
-		return strings.TrimSpace(out.String()), errBuf.String()
-	}
-	job1, msg1 := submit("-builtin", "quick", "-shards", "2")
-	job2, _ := submit("-builtin", "quick", "-seeds", "2", "-shards", "3")
+	url, serveStderr, serveDone := startServe(t, ctx, "-state", filepath.Join(t.TempDir(), "state"))
+	job1, msg1 := submitJob(t, url, "-builtin", "quick", "-shards", "2")
+	job2, _ := submitJob(t, url, "-builtin", "quick", "-seeds", "2", "-shards", "3")
 	if job1 == "" || job2 == "" || job1 == job2 {
 		t.Fatalf("submit printed job IDs %q and %q, want two distinct IDs", job1, job2)
 	}
 	if !strings.Contains(msg1, "submitted") {
 		t.Fatalf("first submit not announced as new:\n%s", msg1)
 	}
-	again, msgAgain := submit("-builtin", "quick", "-shards", "2")
+	again, msgAgain := submitJob(t, url, "-builtin", "quick", "-shards", "2")
 	if again != job1 || !strings.Contains(msgAgain, "already queued") {
 		t.Fatalf("resubmission printed %q (%s), want idempotent %q", again, msgAgain, job1)
 	}
@@ -85,7 +67,7 @@ func TestServiceSubmitWatch(t *testing.T) {
 
 	cancel()
 	if err := <-serveDone; err != nil {
-		t.Fatalf("serve -service did not shut down cleanly: %v", err)
+		t.Fatalf("serve did not shut down cleanly: %v", err)
 	}
 	if !strings.Contains(serveStderr.String(), "sweep service at ") {
 		t.Fatalf("service handshake line missing:\n%s", serveStderr.String())
@@ -96,20 +78,11 @@ func TestServiceAndSubmitFlagValidation(t *testing.T) {
 	t.Parallel()
 
 	var b strings.Builder
-	if err := run([]string{"serve", "-service", "-builtin", "quick"}, &b, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), "submit") {
-		t.Fatalf("serve -service with a spec flag accepted: %v", err)
-	}
-	if err := run([]string{"serve", "-service", "-json"}, &b, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), "watch") {
-		t.Fatalf("serve -service with a report flag accepted: %v", err)
-	}
-	if err := run([]string{"serve", "-builtin", "quick", "-shards", "auto"}, &b, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), "-service") {
-		t.Fatalf("batch serve -shards auto accepted: %v", err)
-	}
-	if err := run([]string{"serve", "-builtin", "quick", "-shards", "nope"}, &b, io.Discard); err == nil {
-		t.Fatal("serve -shards nope accepted")
+	for _, shards := range []string{"nope", "0"} {
+		if err := run([]string{"submit", "-coordinator", "http://localhost:1", "-builtin", "quick", "-shards", shards},
+			&b, io.Discard); err == nil || !strings.Contains(err.Error(), "-shards") {
+			t.Fatalf("submit -shards %s accepted: %v", shards, err)
+		}
 	}
 	if err := run([]string{"submit", "-builtin", "quick"}, &b, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "-coordinator") {

@@ -46,14 +46,11 @@ func TestChaosDistributedByteIdentical(t *testing.T) {
 
 	// LeaseTTL is a minute of real time, so the straggler's shard can
 	// only complete through a speculative re-lease, never TTL expiry.
-	coord, err := NewCoordinator(plan, CoordinatorConfig{
+	coord := newJobService(t, plan, CoordinatorConfig{
 		LeaseTTL:       time.Minute,
 		SpeculateAfter: time.Millisecond,
 		StateDir:       stateDir,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got := mStateHealed.With("envelope").Value() - healed0; got != 1 {
 		t.Fatalf("healed %d envelopes on resume, want 1", got)
 	}
@@ -90,6 +87,7 @@ func TestChaosDistributedByteIdentical(t *testing.T) {
 				ID:          fmt.Sprintf("chaos-w%d", i),
 				Poll:        2 * time.Millisecond,
 				Retries:     200,
+				ExitOnIdle:  true,
 			}
 			_, errs[i] = w.Run(ctx)
 		}()
@@ -131,13 +129,10 @@ func TestChaosDeterministicFaultLog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coord, err := NewCoordinator(plan, CoordinatorConfig{
+		coord := newJobService(t, plan, CoordinatorConfig{
 			LeaseTTL:       time.Minute,
 			SpeculateAfter: time.Millisecond,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		client := inj.Client(LoopbackClient(coord))
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
@@ -153,6 +148,7 @@ func TestChaosDeterministicFaultLog(t *testing.T) {
 					ID:          fmt.Sprintf("det-w%d-%d", seed, i),
 					Poll:        2 * time.Millisecond,
 					Retries:     200,
+					ExitOnIdle:  true,
 				}
 				_, errs[i] = w.Run(ctx)
 			}()
@@ -191,17 +187,15 @@ func TestChaosDeterministicFaultLog(t *testing.T) {
 // three ways — truncated plan, corrupt envelope, fingerprint-mismatched
 // envelope — and pins that a restarted coordinator re-queues exactly the
 // two damaged shards (zero re-executed trials for the intact one),
-// rewrites the plan, and still merges byte-identical to a serial run.
+// quarantines the plan and rewrites it when the sweep is resubmitted,
+// and still merges byte-identical to a serial run.
 // Not parallel: asserts deltas of process-global metrics.
 func TestResumeHealsDamagedState(t *testing.T) {
 	stateDir := t.TempDir()
 	plan := builtinPlan(t, "quick", 3)
 
-	coord1, err := NewCoordinator(plan, CoordinatorConfig{StateDir: stateDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1 := &Worker{Coordinator: "http://coordinator", Client: LoopbackClient(coord1), ID: "h1", Poll: time.Millisecond}
+	coord1 := newJobService(t, plan, CoordinatorConfig{StateDir: stateDir})
+	w1 := &Worker{Coordinator: "http://coordinator", Client: LoopbackClient(coord1), ID: "h1", Poll: time.Millisecond, ExitOnIdle: true}
 	if n, err := w1.Run(context.Background()); err != nil || n != 3 {
 		t.Fatalf("first run: (%d, %v), want (3, nil)", n, err)
 	}
@@ -240,22 +234,19 @@ func TestResumeHealsDamagedState(t *testing.T) {
 		"Trials handed to the batch engine.")
 	trials0 := trialCounter.Value()
 
-	coord2, err := NewCoordinator(plan, CoordinatorConfig{StateDir: stateDir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord2 := newJobService(t, plan, CoordinatorConfig{StateDir: stateDir})
 	if got := mStateHealed.With("envelope").Value() - healedEnv0; got != 2 {
 		t.Fatalf("healed %d envelopes, want 2 (shards 2 and 3)", got)
 	}
 	if got := mStateHealed.With("plan").Value() - healedPlan0; got != 1 {
-		t.Fatalf("healed %d plans, want 1 (truncated job.json rewritten)", got)
+		t.Fatalf("healed %d plans, want 1 (truncated job.json quarantined)", got)
 	}
 	jobs := coord2.Jobs()
 	if len(jobs) != 1 || jobs[0].Resumed != 1 || jobs[0].Done != 1 || jobs[0].Pending != 2 {
 		t.Fatalf("jobs after damaged resume = %+v, want 1 resumed / 1 done / 2 pending", jobs)
 	}
 
-	w2 := &Worker{Coordinator: "http://coordinator", Client: LoopbackClient(coord2), ID: "h2", Poll: time.Millisecond}
+	w2 := &Worker{Coordinator: "http://coordinator", Client: LoopbackClient(coord2), ID: "h2", Poll: time.Millisecond, ExitOnIdle: true}
 	if n, err := w2.Run(context.Background()); err != nil || n != 2 {
 		t.Fatalf("drain after damage: (%d, %v), want (2, nil)", n, err)
 	}
@@ -356,10 +347,7 @@ func TestWorkerRetries429(t *testing.T) {
 	t.Parallel()
 
 	plan := builtinPlan(t, "quick", 2)
-	coord, err := NewCoordinator(plan, CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := newJobService(t, plan, CoordinatorConfig{})
 	var calls atomic.Int32
 	shedding := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/leases") && calls.Add(1) <= 2 {
@@ -369,7 +357,7 @@ func TestWorkerRetries429(t *testing.T) {
 		}
 		coord.ServeHTTP(w, r)
 	})
-	w := &Worker{Coordinator: "http://coordinator", Client: LoopbackClient(shedding), ID: "shed-w", Poll: time.Millisecond, Retries: 10}
+	w := &Worker{Coordinator: "http://coordinator", Client: LoopbackClient(shedding), ID: "shed-w", Poll: time.Millisecond, Retries: 10, ExitOnIdle: true}
 	if n, err := w.Run(context.Background()); err != nil || n != 2 {
 		t.Fatalf("worker under shedding: (%d, %v), want (2, nil)", n, err)
 	}

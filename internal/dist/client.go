@@ -267,16 +267,13 @@ func (cl *Client) Renew(ctx context.Context, leaseID string) (*RenewResponse, er
 // whitespace, and on-disk envelopes stay indented (ShardResult.Write).
 // The coordinator keeps the body it accepts: event frames forward it
 // verbatim, and a later duplicate for the shard is compared with it.
-// The executed and mallocs query parameters carry the accounting that is
-// json:"-" in the envelope.
-func (cl *Client) SubmitResult(ctx context.Context, leaseID string, sr *scenario.ShardResult, executed, mallocs int64) (*SubmitResponse, error) {
+func (cl *Client) SubmitResult(ctx context.Context, leaseID string, sr *scenario.ShardResult) (*SubmitResponse, error) {
 	body, err := json.Marshal(sr)
 	if err != nil {
 		return nil, err
 	}
-	path := fmt.Sprintf("/v1/leases/%s/result?executed=%d&mallocs=%d", leaseID, executed, mallocs)
 	var ack SubmitResponse
-	if err := cl.do(ctx, http.MethodPost, path, bytes.NewReader(body), &ack); err != nil {
+	if err := cl.do(ctx, http.MethodPost, "/v1/leases/"+leaseID+"/result", bytes.NewReader(body), &ack); err != nil {
 		return nil, err
 	}
 	return &ack, nil

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,38 +68,29 @@ type CoordinatorConfig struct {
 // http.Handler serving the versioned /v1 resource API; all state is
 // guarded by one mutex, so a coordinator can serve any number of
 // concurrent workers and submitters.
-//
-// A coordinator built with NewCoordinator is *sealed*: its queue holds
-// exactly the one batch job and accepts no submissions, and workers are
-// told to exit once it completes — `goalsweep serve`'s one-shot mode.
-// NewService builds the unsealed, long-lived variant.
 type Coordinator struct {
 	leaseTTL    time.Duration
 	now         func() time.Time
 	events      *obs.Logger
 	registry    *scenario.Registry
 	stateDir    string
-	sealed      bool
 	maxInflight int
 	speculate   time.Duration
 	mux         *http.ServeMux
 
 	inflightLeases atomic.Int64
 
-	mu        sync.Mutex
-	jobs      map[string]*job // job ID -> job
-	order     []*job          // submission order
-	cursor    int             // index into order of the last job granted a lease
-	leases    map[string]leaseInfo
-	workers   map[string]*workerInfo // every worker that ever polled
-	undrained map[string]bool        // workers not yet told StatusDone
-	nextID    int
+	mu      sync.Mutex
+	jobs    map[string]*job // job ID -> job
+	order   []*job          // submission order
+	cursor  int             // index into order of the last job granted a lease
+	leases  map[string]leaseInfo
+	workers map[string]*workerInfo // every worker that ever polled
+	nextID  int
 
 	// Observed lease-grant → accepted-submit latency, for -shards auto.
 	shardLatSum float64
 	shardLatN   int64
-
-	drained chan struct{}
 }
 
 // leaseInfo records who holds (or held) a lease on which shard of which
@@ -123,45 +113,11 @@ type workerInfo struct {
 	lastSeen  time.Time
 }
 
-// NewCoordinator builds a sealed single-job coordinator for the plan —
-// the one-shot batch mode. With cfg.StateDir set, envelopes already on
-// disk for this plan are resumed and only the missing shards re-execute.
-func NewCoordinator(plan Plan, cfg CoordinatorConfig) (*Coordinator, error) {
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	c := newCoordinator(cfg)
-	c.sealed = true
-	c.mu.Lock()
-	_, _, err := c.submitPlanLocked(plan)
-	c.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// NewService builds an unsealed multi-job coordinator with an initially
-// empty queue — the long-lived service mode. With cfg.StateDir set, the
-// directory is scanned and every recorded job resubmitted, its completed
-// shard envelopes resumed.
+// NewService builds a coordinator with an initially empty queue; jobs
+// arrive over POST /v1/sweeps. With cfg.StateDir set, the directory is
+// scanned and every recorded job resubmitted, its completed shard
+// envelopes resumed.
 func NewService(cfg CoordinatorConfig) (*Coordinator, error) {
-	c := newCoordinator(cfg)
-	if c.stateDir != "" {
-		if err := ensureDir(c.stateDir); err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		err := c.recoverJobsLocked()
-		c.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-func newCoordinator(cfg CoordinatorConfig) *Coordinator {
 	c := &Coordinator{
 		leaseTTL:    cfg.LeaseTTL,
 		now:         cfg.Now,
@@ -174,8 +130,6 @@ func newCoordinator(cfg CoordinatorConfig) *Coordinator {
 		cursor:      -1,
 		leases:      make(map[string]leaseInfo),
 		workers:     make(map[string]*workerInfo),
-		undrained:   make(map[string]bool),
-		drained:     make(chan struct{}),
 	}
 	if c.leaseTTL <= 0 {
 		c.leaseTTL = 2 * time.Minute
@@ -205,7 +159,18 @@ func newCoordinator(cfg CoordinatorConfig) *Coordinator {
 	c.mux.HandleFunc("POST /v1/leases/{lease}/result", c.handleResult)
 	c.mux.HandleFunc("GET /status", c.handleStatus)
 	c.mux.HandleFunc("GET /metrics", handleMetrics)
-	return c
+	if c.stateDir != "" {
+		if err := ensureDir(c.stateDir); err != nil {
+			return nil, err
+		}
+		c.mu.Lock()
+		err := c.recoverJobsLocked()
+		c.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
 }
 
 // shedLease bounds concurrently-processing lease requests. Past the
@@ -255,13 +220,11 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // submitPlanLocked resolves a plan into the queue: the existing job if
 // one with the same derived ID is already queued (created false), a new
 // job otherwise. New jobs resume any valid envelopes already persisted
-// under the state directory. Called with c.mu held.
-func (c *Coordinator) submitPlanLocked(plan Plan) (*job, bool, error) {
-	if err := plan.Validate(); err != nil {
-		return nil, false, err
-	}
+// under the state directory. The plan must be valid. Called with c.mu
+// held.
+func (c *Coordinator) submitPlanLocked(plan Plan) (*job, bool) {
 	if j, ok := c.jobs[JobID(plan)]; ok {
-		return j, false, nil
+		return j, false
 	}
 	j := newJob(plan)
 	c.jobs[j.id] = j
@@ -278,7 +241,7 @@ func (c *Coordinator) submitPlanLocked(plan Plan) (*job, bool, error) {
 		c.completeJobLocked(j)
 	}
 	mJobsActive.Set(float64(c.activeJobsLocked()))
-	return j, true, nil
+	return j, true
 }
 
 // activeJobsLocked counts queued jobs that are not yet complete.
@@ -306,9 +269,8 @@ func (c *Coordinator) allCompleteLocked() bool {
 	return true
 }
 
-// completeJobLocked marks one job complete: closes its done channel,
-// ends its event streams, and — if the whole sealed queue is drained —
-// unblocks WaitDrained. Idempotent; called with c.mu held.
+// completeJobLocked marks one job complete: closes its done channel and
+// ends its event streams. Idempotent; called with c.mu held.
 func (c *Coordinator) completeJobLocked(j *job) {
 	select {
 	case <-j.done:
@@ -320,12 +282,10 @@ func (c *Coordinator) completeJobLocked(j *job) {
 		obs.String("spec", j.plan.Spec.Name),
 		obs.String("fingerprint", j.plan.Fingerprint),
 		obs.Int("shards", j.plan.Shards),
-		obs.Int64("executed", j.executed),
 		obs.String("job", j.id))
 	c.publishLocked(j, completeFrame(j))
 	c.closeSubsLocked(j)
 	mJobsActive.Set(float64(c.activeJobsLocked()))
-	c.checkDrainedLocked()
 }
 
 // sawWorkerLocked refreshes the coordinator's liveness view of one
@@ -408,9 +368,16 @@ func (c *Coordinator) autoShardsLocked(selection int64) int {
 // with a SweepRequest body answers a SweepResponse — 201 and the new
 // job when the sweep was admitted, 200 and the existing job when an
 // identical sweep (same fingerprint, same partition) is already queued.
+// The body is decoded strictly, as scenario.ReadSpec decodes a spec file:
+// an unknown field, at the top level or inside the spec, and trailing
+// data are refused, so a misspelt override cannot silently widen a sweep.
 func (c *Coordinator) handleCreateSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, err := io.ReadAll(r.Body)
+	if err == nil {
+		err = decodeJSONStrict(body, &req)
+	}
+	if err != nil {
 		http.Error(w, fmt.Sprintf("dist: decode sweep request: %v", err), http.StatusBadRequest)
 		return
 	}
@@ -464,19 +431,7 @@ func (c *Coordinator) createSweepLocked(req SweepRequest, selection int64) (*Swe
 	if err != nil {
 		return nil, &httpErr{http.StatusBadRequest, err.Error()}
 	}
-	if c.sealed {
-		// A sealed batch queue admits nothing new, but answering an
-		// identical resubmission with the existing job keeps the create
-		// call idempotent across both modes.
-		if j, ok := c.jobs[JobID(plan)]; ok {
-			return &SweepResponse{Protocol: ProtocolVersion, Created: false, Job: c.jobStatusLocked(j, true)}, nil
-		}
-		return nil, &httpErr{http.StatusConflict, "dist: coordinator runs a sealed batch queue; submit refused"}
-	}
-	j, created, err := c.submitPlanLocked(plan)
-	if err != nil {
-		return nil, &httpErr{http.StatusBadRequest, err.Error()}
-	}
+	j, created := c.submitPlanLocked(plan)
 	return &SweepResponse{Protocol: ProtocolVersion, Created: created, Job: c.jobStatusLocked(j, true)}, nil
 }
 
@@ -592,16 +547,7 @@ func (c *Coordinator) leaseLocked(req LeaseRequest, jobScope string) (LeaseRespo
 			return LeaseResponse{}, &httpErr{http.StatusNotFound, fmt.Sprintf("dist: unknown sweep %q", jobScope)}
 		}
 		if scope.complete() {
-			// This worker now knows its job is over and will exit; once
-			// every known worker has heard a terminal answer the sealed
-			// coordinator can tear down its listener without stranding
-			// anyone mid-poll.
-			delete(c.undrained, req.Worker)
-			c.checkDrainedLocked()
 			return LeaseResponse{Protocol: ProtocolVersion, Status: StatusDone}, nil
-		}
-		if req.Worker != "" {
-			c.undrained[req.Worker] = true
 		}
 		if resp := c.tryGrantLocked(scope, req); resp != nil {
 			return *resp, nil
@@ -613,15 +559,7 @@ func (c *Coordinator) leaseLocked(req LeaseRequest, jobScope string) (LeaseRespo
 	// job after the last one granted, so a long job and a short one
 	// alternate grants instead of the long one starving the short.
 	if c.allCompleteLocked() || len(c.order) == 0 {
-		delete(c.undrained, req.Worker)
-		c.checkDrainedLocked()
-		if c.sealed {
-			return LeaseResponse{Protocol: ProtocolVersion, Status: StatusDone}, nil
-		}
 		return LeaseResponse{Protocol: ProtocolVersion, Status: StatusIdle}, nil
-	}
-	if req.Worker != "" {
-		c.undrained[req.Worker] = true
 	}
 	n := len(c.order)
 	for k := 1; k <= n; k++ {
@@ -662,9 +600,6 @@ func (c *Coordinator) tryGrantLocked(j *job, req LeaseRequest) *LeaseResponse {
 		st.leaseID = fmt.Sprintf("lease-%d", c.nextID)
 		st.expires = now.Add(c.leaseTTL)
 		c.leases[st.leaseID] = leaseInfo{job: j, shard: i + 1, worker: req.Worker, parallel: req.Parallel, granted: now}
-		if j.firstGrant.IsZero() {
-			j.firstGrant = now
-		}
 		mLeasesGranted.With(j.id).Inc()
 		c.events.Event(obs.LevelInfo, "lease.grant",
 			obs.String("lease", st.leaseID),
@@ -806,8 +741,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	q := r.URL.Query()
-	ack, herr := c.submitLocked(leaseID, sr, body, q.Get("executed"), q.Get("mallocs"))
+	ack, herr := c.submitLocked(leaseID, sr, body)
 	if herr != nil {
 		http.Error(w, herr.msg, herr.code)
 		return
@@ -838,7 +772,7 @@ func (c *Coordinator) rejectSubmit(reason, detail string) {
 
 // submitLocked checks one decoded envelope against its lease and job,
 // and accepts it with body, its JSON as submitted.
-func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult, body []byte, executed, mallocs string) (SubmitResponse, *httpErr) {
+func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult, body []byte) (SubmitResponse, *httpErr) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	li, ok := c.leases[leaseID]
@@ -886,31 +820,12 @@ func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult, bod
 	j.results[idx] = sr
 	j.bodies[idx] = body
 	j.shards[idx-1].done = true
-	j.submitters[li.worker] = li.parallel
 	if wi := c.workers[li.worker]; wi != nil {
 		wi.submitted++
 	}
-	// Workers report how many trials they actually executed (as opposed
-	// to served from a shared cache) alongside the envelope; the sum
-	// decides whether a throughput artifact for this sweep would be
-	// honest. Exactly one submission per shard is counted, so a
-	// re-executed straggler shard cannot double-count. The worker's
-	// heap-allocation delta rides the same way and aggregates under the
-	// same discipline.
-	if n, err := strconv.ParseInt(executed, 10, 64); err != nil {
-		j.execKnown = false
-	} else {
-		j.executed += n
-	}
-	if n, err := strconv.ParseInt(mallocs, 10, 64); err != nil {
-		j.mallocsKnown = false
-	} else {
-		j.mallocs += n
-	}
 	mSubmitsAccepted.With(j.id).Inc()
-	j.lastAccept = c.now()
 	if !li.granted.IsZero() {
-		secs := j.lastAccept.Sub(li.granted).Seconds()
+		secs := c.now().Sub(li.granted).Seconds()
 		mShardSeconds.With(j.id).Observe(secs)
 		c.shardLatSum += secs
 		c.shardLatN++
@@ -959,7 +874,6 @@ func (c *Coordinator) statusLocked() StatusResponse {
 	st := StatusResponse{
 		Protocol: ProtocolVersion,
 		Workers:  len(c.workers),
-		Sealed:   c.sealed,
 		Complete: c.allCompleteLocked(),
 		Jobs:     make([]JobStatus, 0, len(c.order)),
 	}
@@ -978,20 +892,6 @@ func (c *Coordinator) statusLocked() StatusResponse {
 	}
 	sort.Slice(st.WorkerStates, func(i, j int) bool { return st.WorkerStates[i].ID < st.WorkerStates[j].ID })
 	return st
-}
-
-// checkDrainedLocked closes the drained channel once a sealed queue is
-// fully complete and every known worker has been answered StatusDone.
-// Called with c.mu held.
-func (c *Coordinator) checkDrainedLocked() {
-	if !c.sealed || !c.allCompleteLocked() || len(c.undrained) != 0 {
-		return
-	}
-	select {
-	case <-c.drained:
-	default:
-		close(c.drained)
-	}
 }
 
 // Jobs returns every queued job's status, in submission order, with
@@ -1031,20 +931,6 @@ func (c *Coordinator) jobByID(id string) (*job, error) {
 	return j, nil
 }
 
-// WaitDrained blocks until a sealed queue is complete AND every worker
-// that ever asked for a lease has been told StatusDone — the
-// graceful-shutdown point after which tearing down the listener cannot
-// strand a live worker mid-poll. A worker that crashed never drains, so
-// callers bound this with a context deadline.
-func (c *Coordinator) WaitDrained(ctx context.Context) error {
-	select {
-	case <-c.drained:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // JobMerged reassembles the named job's collected envelopes into the
 // unsharded sweep's stats stream and summary; it errors if any shard is
 // still missing.
@@ -1064,65 +950,4 @@ func (c *Coordinator) JobMerged(id string) ([]*scenario.Stats, *scenario.Summary
 		return nil, nil, fmt.Errorf("dist: %d of %d shards not yet submitted", missing, j.plan.Shards)
 	}
 	return scenario.MergeShards(shards)
-}
-
-// Workers returns how many distinct workers have asked for leases —
-// observability, not accounting: a worker that only ever polled counts
-// too.
-func (c *Coordinator) Workers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.workers)
-}
-
-// JobAccounting is one job's fleet accounting — what a throughput
-// artifact for the job needs, and whether it would be honest.
-type JobAccounting struct {
-	// Submitters counts the distinct workers that had an envelope
-	// accepted; Parallel sums their reported trial-pool sizes (each
-	// clamped to at least 1, so the total is usable as the artifact's
-	// effective parallelism). Unlike Workers, this counts only the fleet
-	// that actually produced the sweep.
-	Submitters, Parallel int
-	// Executed is the total executed-trial count (as opposed to trials
-	// served from a shared cache). ExecutedKnown is false when any worker
-	// omitted the count or the job resumed shards from disk, in which
-	// case the total is a lower bound and throughput artifacts should not
-	// be written from it.
-	Executed      int64
-	ExecutedKnown bool
-	// Mallocs is the heap-allocation delta summed over each shard's
-	// executing worker, one submission per shard; MallocsKnown is false
-	// when any accepted submission omitted it.
-	Mallocs      int64
-	MallocsKnown bool
-	// Elapsed is the job's compute span on the coordinator's clock: from
-	// its first lease grant to its last accepted submit, so time spent
-	// waiting for the first worker to connect is excluded. It is 0 until
-	// the job has both a grant and an accepted submit.
-	Elapsed time.Duration
-}
-
-// Accounting returns the named job's fleet accounting.
-func (c *Coordinator) Accounting(id string) (JobAccounting, error) {
-	j, err := c.jobByID(id)
-	if err != nil {
-		return JobAccounting{}, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	a := JobAccounting{
-		Submitters:    len(j.submitters),
-		Executed:      j.executed,
-		ExecutedKnown: j.execKnown,
-		Mallocs:       j.mallocs,
-		MallocsKnown:  j.mallocsKnown,
-	}
-	for _, p := range j.submitters {
-		a.Parallel += max(p, 1)
-	}
-	if !j.firstGrant.IsZero() && !j.lastAccept.IsZero() {
-		a.Elapsed = j.lastAccept.Sub(j.firstGrant)
-	}
-	return a, nil
 }

@@ -101,14 +101,31 @@ func waitJob(t *testing.T, ctx context.Context, coord *Coordinator, plan Plan) {
 	}
 }
 
-// accounting fetches the plan's job accounting.
-func accounting(t *testing.T, coord *Coordinator, plan Plan) JobAccounting {
+// newJobService starts a service and admits the plan through the /v1
+// API over the loopback client, as `goalsweep submit` would; the plan's
+// job may already be queued when cfg.StateDir holds it.
+func newJobService(t *testing.T, plan Plan, cfg CoordinatorConfig) *Coordinator {
 	t.Helper()
-	a, err := coord.Accounting(JobID(plan))
+	svc, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a
+	resp, err := loopbackAPI(svc).CreateSweep(context.Background(), SweepRequest{
+		Spec:       plan.Spec,
+		Shards:     plan.Shards,
+		Seeds:      plan.Seeds,
+		Window:     plan.Window,
+		BaseSeed:   plan.BaseSeed,
+		SampleN:    plan.SampleN,
+		SampleSeed: plan.SampleSeed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Job.ID != JobID(plan) {
+		t.Fatalf("service admitted job %s, want %s", resp.Job.ID, JobID(plan))
+	}
+	return svc
 }
 
 // postLease sends one raw fair-share lease request through the loopback
@@ -142,10 +159,7 @@ func TestDistributedByteIdentical(t *testing.T) {
 	t.Parallel()
 
 	plan := builtinPlan(t, "default", 3)
-	coord, err := NewCoordinator(plan, CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := newJobService(t, plan, CoordinatorConfig{})
 	client := LoopbackClient(coord)
 
 	var wg sync.WaitGroup
@@ -160,6 +174,7 @@ func TestDistributedByteIdentical(t *testing.T) {
 				Client:      client,
 				ID:          fmt.Sprintf("w%d", i),
 				Poll:        time.Millisecond,
+				ExitOnIdle:  true,
 			}
 			done[i], errs[i] = w.Run(context.Background())
 		}()
@@ -174,23 +189,11 @@ func TestDistributedByteIdentical(t *testing.T) {
 		t.Fatalf("workers completed %d+%d shards, want 3 total", done[0], done[1])
 	}
 	waitJob(t, context.Background(), coord, plan)
-	// Both workers exited through StatusDone, so the coordinator is
-	// already drained: safe to tear the listener down.
-	drainCtx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if err := coord.WaitDrained(drainCtx); err != nil {
-		t.Fatalf("workers exited but coordinator not drained: %v", err)
-	}
 	if got, want := mergedReport(t, coord, plan), serialReport(t, plan); got != want {
 		t.Fatal("distributed merged report differs from fresh serial run")
 	}
-	if n := coord.Workers(); n != 2 {
+	if n := coord.statusLocked().Workers; n != 2 {
 		t.Fatalf("coordinator saw %d workers, want 2", n)
-	}
-	// Fresh run: the fleet reported executing every trial (default spec:
-	// 288 scenarios x 2 seeds), so a throughput artifact would be honest.
-	if a := accounting(t, coord, plan); !a.ExecutedKnown || a.Executed != 576 {
-		t.Fatalf("fleet executed-trial accounting = (%d, %v), want (576, true)", a.Executed, a.ExecutedKnown)
 	}
 }
 
@@ -204,10 +207,7 @@ func TestCrashedWorkerReLease(t *testing.T) {
 
 	clock := newFakeClock()
 	plan := builtinPlan(t, "default", 3)
-	coord, err := NewCoordinator(plan, CoordinatorConfig{LeaseTTL: time.Minute, Now: clock.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := newJobService(t, plan, CoordinatorConfig{LeaseTTL: time.Minute, Now: clock.Now})
 	client := LoopbackClient(coord)
 
 	// The doomed worker takes shard 1/3 and never comes back.
@@ -218,7 +218,7 @@ func TestCrashedWorkerReLease(t *testing.T) {
 
 	// Before the TTL passes, the shard must NOT be re-issued: a healthy
 	// worker gets shards 2 and 3, then is told to wait.
-	w := &Worker{Coordinator: "http://coordinator", Client: client, ID: "healthy", Poll: time.Millisecond}
+	w := &Worker{Coordinator: "http://coordinator", Client: client, ID: "healthy", Poll: time.Millisecond, ExitOnIdle: true}
 	for _, want := range []int{2, 3} {
 		lease, _ := postLease(t, client, LeaseRequest{Protocol: ProtocolVersion, Worker: "healthy"})
 		if lease.Status != StatusLease || lease.Shard.Index != want {
@@ -262,13 +262,12 @@ func TestCrashedWorkerReLease(t *testing.T) {
 	if got, want := mergedReport(t, coord, plan), serialReport(t, plan); got != want {
 		t.Fatal("straggler resubmission changed the merged report")
 	}
-	// Only the worker whose envelopes were accepted counts as a
-	// submitter — the doomed worker polled but produced nothing.
-	if n := accounting(t, coord, plan).Submitters; n != 1 {
-		t.Fatalf("coordinator counted %d submitters, want 1 (the healthy worker)", n)
-	}
-	if n := coord.Workers(); n != 2 {
-		t.Fatalf("coordinator saw %d workers, want 2 (doomed + healthy)", n)
+	// Only accepted envelopes count as submitted: the doomed worker's
+	// late duplicate is acknowledged but not credited to it.
+	st := coord.statusLocked()
+	if len(st.WorkerStates) != 2 || st.WorkerStates[0].ID != "doomed" || st.WorkerStates[0].Submitted != 0 ||
+		st.WorkerStates[1].ID != "healthy" || st.WorkerStates[1].Submitted != 3 {
+		t.Fatalf("worker states = %+v, want doomed 0 and healthy 3 submitted", st.WorkerStates)
 	}
 }
 
@@ -279,10 +278,7 @@ func TestStragglerSubmitBeforeReLease(t *testing.T) {
 
 	clock := newFakeClock()
 	plan := builtinPlan(t, "quick", 1)
-	coord, err := NewCoordinator(plan, CoordinatorConfig{LeaseTTL: time.Minute, Now: clock.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := newJobService(t, plan, CoordinatorConfig{LeaseTTL: time.Minute, Now: clock.Now})
 	client := LoopbackClient(coord)
 	w := &Worker{Coordinator: "http://coordinator", Client: client, Poll: time.Millisecond}
 	lease, _ := postLease(t, client, LeaseRequest{Protocol: ProtocolVersion, Worker: "slow"})
@@ -295,46 +291,6 @@ func TestStragglerSubmitBeforeReLease(t *testing.T) {
 		t.Fatalf("submit under expired-but-unreclaimed lease rejected: %v", err)
 	}
 	waitJob(t, context.Background(), coord, plan)
-}
-
-// TestElapsedExcludesIdleBeforeFirstLease: the sweep's compute span runs
-// on the coordinator's clock from the first lease grant to the last
-// accepted submit, so an hour with no worker connected is not counted
-// (and neither is time after the last accept).
-func TestElapsedExcludesIdleBeforeFirstLease(t *testing.T) {
-	t.Parallel()
-
-	clock := newFakeClock()
-	plan := builtinPlan(t, "quick", 2)
-	coord, err := NewCoordinator(plan, CoordinatorConfig{LeaseTTL: time.Minute, Now: clock.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock.Advance(time.Hour) // the fleet has not connected yet
-	if got := accounting(t, coord, plan).Elapsed; got != 0 {
-		t.Fatalf("Elapsed before any lease = %v, want 0", got)
-	}
-	client := LoopbackClient(coord)
-	w := &Worker{Coordinator: "http://coordinator", Client: client, Poll: time.Millisecond}
-	for _, compute := range []time.Duration{3 * time.Second, 2 * time.Second} {
-		lease, err := w.lease(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sr, err := w.runShard(lease)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clock.Advance(compute)
-		if err := w.submit(context.Background(), lease.LeaseID, sr, 1, time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitJob(t, context.Background(), coord, plan)
-	clock.Advance(time.Minute) // draining and merging are not the sweep
-	if got := accounting(t, coord, plan).Elapsed; got != 5*time.Second {
-		t.Fatalf("Elapsed = %v, want 5s (first grant to last accept)", got)
-	}
 }
 
 // postRenew sends one raw renew request through the loopback client.
@@ -364,10 +320,7 @@ func TestLeaseRenewal(t *testing.T) {
 
 	clock := newFakeClock()
 	plan := builtinPlan(t, "quick", 1)
-	coord, err := NewCoordinator(plan, CoordinatorConfig{LeaseTTL: time.Minute, Now: clock.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := newJobService(t, plan, CoordinatorConfig{LeaseTTL: time.Minute, Now: clock.Now})
 	client := LoopbackClient(coord)
 	w := &Worker{Coordinator: "http://coordinator", Client: client, Poll: time.Millisecond}
 
@@ -428,11 +381,8 @@ func TestSampledPlanDistributes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinator(plan, CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &Worker{Coordinator: "http://coordinator", Client: LoopbackClient(coord), Poll: time.Millisecond}
+	coord := newJobService(t, plan, CoordinatorConfig{})
+	w := &Worker{Coordinator: "http://coordinator", Client: LoopbackClient(coord), Poll: time.Millisecond, ExitOnIdle: true}
 	if _, err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -441,33 +391,36 @@ func TestSampledPlanDistributes(t *testing.T) {
 	}
 }
 
-// TestSharedCacheAcrossWorkers: two workers pointed at one store — the
-// second sweep of the same scenarios executes zero trials and the output
-// is unchanged.
+// TestSharedCacheAcrossWorkers: two fleet jobs of the same sweep whose
+// workers share one store — the second job executes zero trials and the
+// output is unchanged. Deliberately not parallel: it asserts deltas of
+// the process-global engine and cache counters.
 func TestSharedCacheAcrossWorkers(t *testing.T) {
-	t.Parallel()
-
 	dir := t.TempDir()
 	cache, err := scenario.OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	trials := obs.Default().Counter("goalsweep_engine_trials_started_total",
+		"Trials handed to the batch engine.")
+	hits := obs.Default().Counter("goalsweep_cache_hits_total",
+		"Scenario aggregates served from the result cache.")
 	plan := builtinPlan(t, "quick", 2)
-	run := func() (*Coordinator, string) {
-		coord, err := NewCoordinator(plan, CoordinatorConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
+	// run drains one fleet job and returns the coordinator, the worker's
+	// event log, and the engine-trial and cache-hit counter deltas.
+	run := func() (*Coordinator, string, int64, int64) {
+		coord := newJobService(t, plan, CoordinatorConfig{})
 		var log bytes.Buffer
 		w := &Worker{Coordinator: "http://coordinator", Client: LoopbackClient(coord), Cache: cache,
-			Poll: time.Millisecond, Events: obs.NewLogger(&log, obs.LevelDebug)}
+			Poll: time.Millisecond, ExitOnIdle: true, Events: obs.NewLogger(&log, obs.LevelDebug)}
+		trials0, hits0 := trials.Value(), hits.Value()
 		if _, err := w.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		return coord, log.String()
+		return coord, log.String(), trials.Value() - trials0, hits.Value() - hits0
 	}
-	cold, coldLog := run()
-	warm, warmLog := run()
+	cold, coldLog, coldTrials, coldHits := run()
+	warm, warmLog, warmTrials, warmHits := run()
 	if got, want := mergedReport(t, warm, plan), mergedReport(t, cold, plan); got != want {
 		t.Fatal("warm-cache distributed run differs from cold run")
 	}
@@ -481,14 +434,14 @@ func TestSharedCacheAcrossWorkers(t *testing.T) {
 	if strings.Count(warmLog, "executed=0") != 2 {
 		t.Fatalf("warm run did not serve from the shared cache:\n%s", warmLog)
 	}
-	// The coordinator's fleet accounting sees the same split, which is
-	// what gates honest -bench artifacts: cold executed everything, warm
-	// executed nothing.
-	if a := accounting(t, cold, plan); !a.ExecutedKnown || a.Executed != 12 {
-		t.Fatalf("cold fleet accounting = (%d, %v), want (12, true)", a.Executed, a.ExecutedKnown)
+	// The engine and cache counters see the same split: the cold job ran
+	// all 12 trials and hit nothing, the warm job ran none and served
+	// all 12 scenarios from the store.
+	if coldTrials != 12 || coldHits != 0 {
+		t.Fatalf("cold job: %d trials started, %d cache hits; want 12 and 0", coldTrials, coldHits)
 	}
-	if a := accounting(t, warm, plan); !a.ExecutedKnown || a.Executed != 0 {
-		t.Fatalf("warm fleet accounting = (%d, %v), want (0, true)", a.Executed, a.ExecutedKnown)
+	if warmTrials != 0 || warmHits != 12 {
+		t.Fatalf("warm job: %d trials started, %d cache hits; want 0 and 12", warmTrials, warmHits)
 	}
 }
 
@@ -499,10 +452,7 @@ func TestSubmitValidation(t *testing.T) {
 	t.Parallel()
 
 	plan := builtinPlan(t, "quick", 2)
-	coord, err := NewCoordinator(plan, CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := newJobService(t, plan, CoordinatorConfig{})
 	client := LoopbackClient(coord)
 	w := &Worker{Coordinator: "http://coordinator", Client: client, Poll: time.Millisecond}
 	lease, _ := postLease(t, client, LeaseRequest{Protocol: ProtocolVersion, Worker: "w"})
@@ -548,10 +498,7 @@ func TestSubmitValidation(t *testing.T) {
 func TestLeaseProtocolVersion(t *testing.T) {
 	t.Parallel()
 
-	coord, err := NewCoordinator(builtinPlan(t, "quick", 1), CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := newJobService(t, builtinPlan(t, "quick", 1), CoordinatorConfig{})
 	lease, resp := postLease(t, LoopbackClient(coord), LeaseRequest{Protocol: 99, Worker: "future"})
 	if lease != nil || resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("protocol 99 lease answered %d, want 400", resp.StatusCode)
@@ -583,10 +530,7 @@ func TestWorkerRefusesSkewedPlan(t *testing.T) {
 func TestStatusEndpoint(t *testing.T) {
 	t.Parallel()
 
-	coord, err := NewCoordinator(builtinPlan(t, "quick", 2), CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := newJobService(t, builtinPlan(t, "quick", 2), CoordinatorConfig{})
 	client := LoopbackClient(coord)
 	status := func() StatusResponse {
 		t.Helper()
@@ -605,7 +549,7 @@ func TestStatusEndpoint(t *testing.T) {
 	if st := status(); st.Jobs[0].Pending != 2 || st.Jobs[0].Done != 0 || st.Complete {
 		t.Fatalf("initial status %+v", st)
 	}
-	w := &Worker{Coordinator: "http://coordinator", Client: client, Poll: time.Millisecond}
+	w := &Worker{Coordinator: "http://coordinator", Client: client, Poll: time.Millisecond, ExitOnIdle: true}
 	lease, _ := postLease(t, client, LeaseRequest{Protocol: ProtocolVersion, Worker: "w"})
 	if st := status(); st.Jobs[0].Pending != 1 || st.Jobs[0].Leased != 1 || st.Workers != 1 {
 		t.Fatalf("status after lease %+v", st)
@@ -634,10 +578,7 @@ func TestMergedRefusesIncomplete(t *testing.T) {
 	t.Parallel()
 
 	plan := builtinPlan(t, "quick", 3)
-	coord, err := NewCoordinator(plan, CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := newJobService(t, plan, CoordinatorConfig{})
 	if _, _, err := coord.JobMerged(JobID(plan)); err == nil || !strings.Contains(err.Error(), "3 of 3") {
 		t.Fatalf("incomplete merge: %v", err)
 	}

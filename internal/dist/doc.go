@@ -3,7 +3,7 @@
 // over the shard envelope that internal/scenario already treats as a
 // complete wire format.
 //
-// A Coordinator owns a queue of jobs — each one planned sweep: the spec,
+// A Coordinator (NewService) owns a queue of jobs — each one planned sweep: the spec,
 // the effective sweep parameters (seeds, window, base seed, sample
 // selection), the shard count and the sweep Fingerprint derived from all
 // of them — and serves a versioned resource API:
@@ -79,6 +79,7 @@
 // wraps the coordinator's http.Handler in an in-process http.Client, so
 // the whole submit/lease/crash/re-lease/result cycle runs in one process
 // with no sockets. cmd/goalsweep exposes the backend as "goalsweep
-// serve" (one-shot batch or -service), "goalsweep work", "goalsweep
-// submit" and "goalsweep watch".
+// serve" (the service), "goalsweep submit", "goalsweep work" and
+// "goalsweep watch"; a one-shot fleet run is the four together, with
+// workers started -exit-when-idle.
 package dist

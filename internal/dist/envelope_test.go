@@ -37,7 +37,7 @@ func shardEnvelopes(t *testing.T, plan Plan) []*scenario.ShardResult {
 // postResult submits body verbatim under leaseID.
 func postResult(ctx context.Context, api *Client, leaseID string, body []byte) (*SubmitResponse, error) {
 	var ack SubmitResponse
-	path := "/v1/leases/" + leaseID + "/result?executed=0&mallocs=0"
+	path := "/v1/leases/" + leaseID + "/result"
 	if err := api.do(ctx, http.MethodPost, path, bytes.NewReader(body), &ack); err != nil {
 		return nil, err
 	}
@@ -277,7 +277,7 @@ func TestSubmitClaimedLengthNotTrusted(t *testing.T) {
 		t.Fatalf("truncated submit answered %s, want a 4xx", resp.Status)
 	}
 
-	ack, err := api.SubmitResult(ctx, lease.LeaseID, envelopes[0], 0, 0)
+	ack, err := api.SubmitResult(ctx, lease.LeaseID, envelopes[0])
 	if err != nil {
 		t.Fatal(err)
 	}

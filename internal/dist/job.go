@@ -37,39 +37,28 @@ type shardState struct {
 	specExpires time.Time // speculative lease's deadline
 }
 
-// job is one queued sweep: a plan, its shard states, the collected
-// envelopes, and the per-job accounting that used to be the whole
-// coordinator. All fields are guarded by the owning Coordinator's mutex.
+// job is one queued sweep: a plan, its shard states and the collected
+// envelopes. All fields are guarded by the owning Coordinator's mutex.
 type job struct {
 	id   string
 	plan Plan
 
-	shards       []shardState                  // index i-1 holds shard i/n
-	results      map[int]*scenario.ShardResult // 1-based shard index -> envelope
-	bodies       map[int][]byte                // accepted envelope JSON as submitted; nil when resumed from disk
-	submitters   map[string]int                // workers whose envelopes were accepted -> parallelism
-	executed     int64                         // trials the fleet reported actually executing
-	execKnown    bool                          // every accepted submit carried an executed count
-	mallocs      int64                         // worker heap allocations across executed shards
-	mallocsKnown bool                          // every accepted submit carried a mallocs count
-	resumed      int                           // shards restored from on-disk envelopes
-	firstGrant   time.Time                     // first lease grant, on the coordinator's clock
-	lastAccept   time.Time                     // last accepted submit, on the coordinator's clock
-	done         chan struct{}                 // closed when every shard has been accepted
-	subs         []chan []byte                 // live SSE subscribers (see events.go)
+	shards  []shardState                  // index i-1 holds shard i/n
+	results map[int]*scenario.ShardResult // 1-based shard index -> envelope
+	bodies  map[int][]byte                // accepted envelope JSON as submitted; nil when resumed from disk
+	resumed int                           // shards restored from on-disk envelopes
+	done    chan struct{}                 // closed when every shard has been accepted
+	subs    []chan []byte                 // live SSE subscribers (see events.go)
 }
 
 func newJob(plan Plan) *job {
 	return &job{
-		id:           JobID(plan),
-		plan:         plan,
-		shards:       make([]shardState, plan.Shards),
-		results:      make(map[int]*scenario.ShardResult),
-		bodies:       make(map[int][]byte),
-		submitters:   make(map[string]int),
-		execKnown:    true,
-		mallocsKnown: true,
-		done:         make(chan struct{}),
+		id:      JobID(plan),
+		plan:    plan,
+		shards:  make([]shardState, plan.Shards),
+		results: make(map[int]*scenario.ShardResult),
+		bodies:  make(map[int][]byte),
+		done:    make(chan struct{}),
 	}
 }
 
@@ -157,9 +146,7 @@ func (c *Coordinator) persistShardLocked(j *job, sr *scenario.ShardResult) {
 // submit would pass; anything corrupt, truncated or foreign is healed —
 // the bad file is removed, the shard re-queues, and the re-executed
 // envelope overwrites it — instead of being left to trip every future
-// restart. Resumed shards carry no executed/mallocs counts, so the job's
-// accounting turns unknown — a bench artifact over a resumed job would
-// lie.
+// restart.
 func (c *Coordinator) resumeShardsLocked(j *job) {
 	if c.stateDir == "" {
 		return
@@ -189,11 +176,6 @@ func (c *Coordinator) resumeShardsLocked(j *job) {
 		j.resumed++
 	}
 	if j.resumed > 0 {
-		// The executing workers' trial and allocation counts did not
-		// survive the restart; report the totals as unknown rather than
-		// undercounting.
-		j.execKnown = false
-		j.mallocsKnown = false
 		c.events.Event(obs.LevelInfo, "state.resume",
 			obs.String("job", j.id),
 			obs.Int("resumed", j.resumed),
@@ -257,10 +239,7 @@ func (c *Coordinator) recoverJobsLocked() error {
 			c.quarantinePlanLocked(e.Name(), path, "directory name does not match the plan's job ID")
 			continue
 		}
-		if _, _, err := c.submitPlanLocked(plan); err != nil {
-			c.events.Event(obs.LevelWarn, "state.recover_skip",
-				obs.String("dir", e.Name()), obs.String("err", err.Error()))
-		}
+		c.submitPlanLocked(plan)
 	}
 	return nil
 }
@@ -306,11 +285,18 @@ func writeJSONIndent(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// decodeJSONStrict decodes data into v, rejecting unknown fields — a
-// recovered plan written by a different build should be skipped, not
-// half-read.
+// decodeJSONStrict decodes exactly one JSON value from data into v,
+// rejecting unknown fields and trailing data — a recovered plan written
+// by a different build should be skipped, not half-read, and a
+// mistyped request field refused, not dropped.
 func decodeJSONStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("trailing data after JSON value")
+	}
+	return nil
 }

@@ -254,7 +254,7 @@ func TestSubmitBodyEncodingInvariant(t *testing.T) {
 				t.Fatal(err)
 			}
 			var ack SubmitResponse
-			path := "/v1/leases/" + lease.LeaseID + "/result?executed=0&mallocs=0"
+			path := "/v1/leases/" + lease.LeaseID + "/result"
 			if err := api.do(ctx, http.MethodPost, path, bytes.NewReader(body), &ack); err != nil {
 				t.Fatalf("%s body refused: %v", name, err)
 			}

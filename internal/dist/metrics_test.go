@@ -33,14 +33,11 @@ func TestMetricsAcrossWorkerCrash(t *testing.T) {
 	shards0 := mWorkerShards.Value()
 
 	var events bytes.Buffer
-	coord, err := NewCoordinator(plan, CoordinatorConfig{
+	coord := newJobService(t, plan, CoordinatorConfig{
 		LeaseTTL: time.Minute,
 		Now:      clock.Now,
 		Events:   obs.NewLogger(&events, obs.LevelDebug),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	client := LoopbackClient(coord)
 
 	// Worker "doomed" takes shard 1/3 and crashes (never submits).
@@ -51,7 +48,7 @@ func TestMetricsAcrossWorkerCrash(t *testing.T) {
 
 	// Worker "healthy" drains shards 2 and 3, then mid-sweep progress is
 	// visible on /status.
-	w := &Worker{Coordinator: "http://coordinator", Client: client, ID: "healthy", Parallel: 1, Poll: time.Millisecond}
+	w := &Worker{Coordinator: "http://coordinator", Client: client, ID: "healthy", Parallel: 1, Poll: time.Millisecond, ExitOnIdle: true}
 	for _, want := range []int{2, 3} {
 		lease, _ := postLease(t, client, LeaseRequest{Protocol: ProtocolVersion, Worker: "healthy", Parallel: 1})
 		if lease.Status != StatusLease || lease.Shard.Index != want {

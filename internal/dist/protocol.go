@@ -90,13 +90,12 @@ const (
 	// StatusWait means every remaining shard is leased to someone else;
 	// poll again — a lease may yet expire.
 	StatusWait = "wait"
-	// StatusDone means there is no work left and none can appear: the
-	// queue is sealed (batch mode) and every job is complete, or the
-	// asked-for job is complete. The worker can exit.
+	// StatusDone answers a job-scoped lease request whose job is
+	// complete: no work for it can appear again, so the worker exits.
 	StatusDone = "done"
-	// StatusIdle means every job in the queue is complete but the queue
-	// is still accepting submissions (service mode): a worker may poll on
-	// or exit, its choice.
+	// StatusIdle answers a job-agnostic lease request when every queued
+	// job is complete: the queue still accepts submissions, so a worker
+	// may poll on or exit, its choice.
 	StatusIdle = "idle"
 )
 
@@ -194,9 +193,6 @@ type StatusResponse struct {
 	// Complete reports whether every job in the queue is complete (and at
 	// least one exists).
 	Complete bool `json:"complete"`
-	// Sealed reports batch mode: the queue accepts no further jobs and
-	// workers are told done (not idle) once everything is complete.
-	Sealed bool `json:"sealed"`
 	// Jobs holds one entry per job in submission order, each with its
 	// shard states.
 	Jobs []JobStatus `json:"jobs"`

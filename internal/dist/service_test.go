@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -40,10 +42,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 
 	// First incarnation: one worker completes shard 1/3, then the
 	// process "crashes" (the coordinator is simply dropped).
-	coord1, err := NewCoordinator(plan, CoordinatorConfig{StateDir: stateDir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord1 := newJobService(t, plan, CoordinatorConfig{StateDir: stateDir})
 	client1 := LoopbackClient(coord1)
 	w1 := &Worker{Coordinator: "http://coordinator", Client: client1, ID: "w1", Poll: time.Millisecond}
 	lease, _ := postLease(t, client1, LeaseRequest{Protocol: ProtocolVersion, Worker: "w1"})
@@ -60,10 +59,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 
 	// Second incarnation over the same directory: shard 1 resumes from
 	// its on-disk envelope, shards 2 and 3 are still open.
-	coord2, err := NewCoordinator(plan, CoordinatorConfig{StateDir: stateDir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord2 := newJobService(t, plan, CoordinatorConfig{StateDir: stateDir})
 	jobs := coord2.Jobs()
 	if len(jobs) != 1 || jobs[0].Resumed != 1 || jobs[0].Done != 1 || jobs[0].Pending != 2 {
 		t.Fatalf("restarted coordinator jobs = %+v, want 1 job with 1 resumed / 1 done / 2 pending", jobs)
@@ -76,7 +72,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	trialCounter := obs.Default().Counter("goalsweep_engine_trials_started_total",
 		"Trials handed to the batch engine.")
 	trials0 := trialCounter.Value()
-	w2 := &Worker{Coordinator: "http://coordinator", Client: LoopbackClient(coord2), ID: "w2", Poll: time.Millisecond}
+	w2 := &Worker{Coordinator: "http://coordinator", Client: LoopbackClient(coord2), ID: "w2", Poll: time.Millisecond, ExitOnIdle: true}
 	if n, err := w2.Run(context.Background()); err != nil || n != 2 {
 		t.Fatalf("worker after restart: (%d, %v), want (2, nil)", n, err)
 	}
@@ -85,11 +81,6 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	}
 	if got, want := mergedReport(t, coord2, plan), serialReport(t, plan); got != want {
 		t.Fatal("resumed merged report differs from fresh serial run")
-	}
-	// Resumed shards carry no executed accounting, so the fleet total is
-	// honest-unknown rather than an undercount.
-	if accounting(t, coord2, plan).ExecutedKnown {
-		t.Fatal("executed-trial accounting claims known after a resume")
 	}
 }
 
@@ -380,24 +371,51 @@ func TestSubmitSweepIdempotent(t *testing.T) {
 	if _, err := api.Sweep(ctx, "sw-nope-1"); err == nil {
 		t.Fatal("unknown sweep ID did not 404")
 	}
+}
 
-	// A sealed batch coordinator refuses new sweeps but answers the
-	// existing one idempotently.
-	plan := builtinPlan(t, "quick", 2)
-	sealed, err := NewCoordinator(plan, CoordinatorConfig{})
+// TestCreateSweepStrict: POST /v1/sweeps decodes its body as strictly as
+// scenario.ReadSpec reads a spec file. A misspelt override ("sample" for
+// "sampleN" would otherwise sweep the whole matrix), an unknown key
+// inside the spec, and trailing data are each refused with 400 and
+// admit nothing; the same request spelled right is admitted.
+func TestCreateSweepStrict(t *testing.T) {
+	t.Parallel()
+
+	svc, err := NewService(CoordinatorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealedAPI := loopbackAPI(sealed)
-	if _, err := sealedAPI.CreateSweep(ctx, SweepRequest{Spec: quickSpec(t), Shards: 5}); err == nil {
-		t.Fatal("sealed coordinator admitted a new sweep")
-	}
-	same, err := sealedAPI.CreateSweep(ctx, SweepRequest{Spec: quickSpec(t), Shards: 2})
+	client := LoopbackClient(svc)
+	spec, err := json.Marshal(quickSpec(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if same.Created || same.Job.ID != JobID(plan) {
-		t.Fatalf("sealed idempotent resubmission = %+v", same)
+	specTypo := bytes.Replace(spec, []byte(`"name"`), []byte(`"nmae":"x","name"`), 1)
+	post := func(body string) int {
+		t.Helper()
+		resp, err := client.Post("http://coordinator/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for name, body := range map[string]string{
+		"top-level typo":    `{"protocol":1,"shards":2,"sample":5,"spec":` + string(spec) + `}`,
+		"spec typo":         `{"protocol":1,"shards":2,"spec":` + string(specTypo) + `}`,
+		"trailing value":    `{"protocol":1,"shards":2,"spec":` + string(spec) + `} {}`,
+		"trailing garbage":  `{"protocol":1,"shards":2,"spec":` + string(spec) + `}x`,
+		"unterminated body": `{"protocol":1,"shards":2,"spec":` + string(spec),
+	} {
+		if code := post(body); code != http.StatusBadRequest {
+			t.Errorf("%s: answered %d, want 400", name, code)
+		}
+	}
+	if jobs := svc.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused requests admitted jobs: %+v", jobs)
+	}
+	if code := post(`{"protocol":1,"shards":2,"sampleN":5,"spec":` + string(spec) + "}\n"); code != http.StatusCreated {
+		t.Fatalf("well-formed request answered %d, want 201", code)
 	}
 }
 
@@ -453,10 +471,7 @@ func TestUnversionedRoutesNotServed(t *testing.T) {
 	t.Parallel()
 
 	plan := builtinPlan(t, "quick", 1)
-	coord, err := NewCoordinator(plan, CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := newJobService(t, plan, CoordinatorConfig{})
 	client := LoopbackClient(coord)
 	w := &Worker{Coordinator: "http://coordinator", Client: client, Poll: time.Millisecond}
 	lease, _ := postLease(t, client, LeaseRequest{Protocol: ProtocolVersion, Worker: "w"})
